@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/database.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -162,4 +164,20 @@ BENCHMARK(BM_TopKOverWire);
 }  // namespace
 }  // namespace tigervector
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Consume --metrics-out / --slowlog-out before google-benchmark rejects
+  // unknown flags.
+  tigervector::bench::InitBench(argc, argv);
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) continue;
+    if (std::strncmp(argv[i], "--slowlog-out=", 14) == 0) continue;
+    argv[kept++] = argv[i];
+  }
+  argc = kept;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,6 +1,9 @@
 #include "core/database.h"
 
+#include <string>
+
 #include "embedding/embedding_type.h"
+#include "obs/trace.h"
 #include "simd/distance.h"
 #include "simd/sq8.h"
 
@@ -134,10 +137,9 @@ Result<VertexSet> Database::VectorSearch(
       return Status::OK();
     };
   }
-  auto result = CachedTopK(request, query.size(), filter_fp, options.bypass_cache,
-                           materialize, options.mpp_stats, options.cache_outcome);
+  auto result =
+      CachedTopK(request, query.size(), filter_fp, options.bypass_cache, materialize);
   if (!result.ok()) return result.status();
-  if (options.result_stats != nullptr) *options.result_stats = *result;
   VertexSet out;
   for (const SearchHit& hit : result->hits) {
     out.insert(hit.label);
@@ -151,23 +153,23 @@ Result<VertexSet> Database::VectorSearch(
 Result<VectorSearchResult> Database::CachedTopK(
     VectorSearchRequest& request, size_t query_dim,
     const cache::Fingerprint& filter_fp, bool bypass_cache,
-    const std::function<Status()>& materialize_filter,
-    Cluster::DistributedStats* mpp_stats, cache::Outcome* outcome) {
+    const std::function<Status()>& materialize_filter) {
   // With a simulated MPP cluster the search scatters to the logical servers
   // and gathers their local top-k lists; the merge invariant keeps the
   // result bit-identical to the single-node path, so both share one cache.
-  auto run = [&]() -> Result<VectorSearchResult> {
+  auto run = [&](cache::Outcome outcome) -> Result<VectorSearchResult> {
     if (materialize_filter != nullptr) TV_RETURN_NOT_OK(materialize_filter());
-    return cluster_ != nullptr ? cluster_->DistributedTopK(request, mpp_stats)
-                               : embeddings_->TopKSearch(request);
+    auto result = cluster_ != nullptr ? cluster_->DistributedTopK(request)
+                                      : embeddings_->TopKSearch(request);
+    if (result.ok()) TraceVectorSearch(*result, outcome);
+    return result;
   };
-  if (outcome != nullptr) *outcome = cache::Outcome::kBypass;
   // A search overlapping a structural change (vacuum merge, rebuild) can
   // observe a half-merged index; such answers are neither served from nor
   // admitted to the cache.
   if (bypass_cache || !cache_->enabled() || request.read_tid == kMaxTid ||
       !embeddings_->structure_stable()) {
-    return run();
+    return run(cache::Outcome::kBypass);
   }
   cache::Fingerprint fp;
   for (const auto& [type_name, attr] : request.attrs) {
@@ -191,7 +193,6 @@ Result<VectorSearchResult> Database::CachedTopK(
   const cache::CacheKey key =
       cache::TopKKey(fp, filter_fp, request.read_tid, structure_version);
   if (cache::QueryCache::TopKPtr entry = cache_->LookupTopK(key)) {
-    if (outcome != nullptr) *outcome = cache::Outcome::kHit;
     VectorSearchResult cached;
     cached.hits.reserve(entry->hits.size());
     for (const auto& [distance, vid] : entry->hits) {
@@ -202,10 +203,10 @@ Result<VectorSearchResult> Database::CachedTopK(
     cached.delta_candidates = entry->delta_candidates;
     cached.quant_segments = entry->quant_segments;
     cached.reranked = entry->reranked;
+    TraceVectorSearch(cached, cache::Outcome::kHit);
     return cached;
   }
-  if (outcome != nullptr) *outcome = cache::Outcome::kMiss;
-  auto result = run();
+  auto result = run(cache::Outcome::kMiss);
   if (!result.ok()) return result;
   // Admit only if no structural change raced with the computation; the
   // version re-check pairs with the end-of-operation bump in the service.
@@ -224,6 +225,19 @@ Result<VectorSearchResult> Database::CachedTopK(
     cache_->InsertTopK(key, std::move(entry));
   }
   return result;
+}
+
+void TraceVectorSearch(const VectorSearchResult& result, cache::Outcome outcome) {
+  obs::QueryTrace* trace = obs::CurrentTrace();
+  if (trace == nullptr) return;
+  trace->AddCounter("search.segments", result.segments_searched);
+  trace->AddCounter("search.bruteforce_segments", result.bruteforce_segments);
+  trace->AddCounter("search.delta_candidates", result.delta_candidates);
+  trace->AddCounter("search.quant_segments", result.quant_segments);
+  trace->AddCounter("search.reranked", result.reranked);
+  const std::string cache_counter =
+      std::string("cache.topk_") + cache::OutcomeName(outcome);
+  trace->AddCounter(cache_counter.c_str(), 1);
 }
 
 }  // namespace tigervector

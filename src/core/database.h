@@ -96,13 +96,6 @@ class Database {
     // types the role cannot read are excluded ("unauthorized vectors");
     // the search fails only if nothing readable remains.
     std::string role;
-    // When non-null, receives the raw search result statistics
-    // (segments_searched, bruteforce_segments, delta_candidates) — used by
-    // EXPLAIN ANALYZE to report per-node actuals.
-    VectorSearchResult* result_stats = nullptr;
-    // When non-null and the database runs a simulated MPP cluster, receives
-    // the per-server scatter/gather timings.
-    Cluster::DistributedStats* mpp_stats = nullptr;
     // MVCC horizon the search answers at. kMaxTid pins the currently
     // visible tid at call time; callers composing a search into a larger
     // read (the executor) pass their own snapshot so the whole statement
@@ -114,9 +107,6 @@ class Database {
     // Rerank multiple for quantized (SQ8) scans; 0 uses the process default
     // (TV_RERANK_FACTOR). Part of the result-cache key either way.
     size_t rerank_factor = 0;
-    // When non-null, receives whether the top-k cache hit, missed, or was
-    // bypassed — EXPLAIN ANALYZE's `cache:` node detail.
-    cache::Outcome* cache_outcome = nullptr;
   };
   Result<VertexSet> VectorSearch(
       const std::vector<std::pair<std::string, std::string>>& attrs,
@@ -134,12 +124,13 @@ class Database {
   // (default Fingerprint{} = accept-all); `materialize_filter`, when
   // non-null, is invoked exactly once before the underlying search runs on
   // a miss or bypass — a cache hit skips it, so callers can defer building
-  // the (potentially large) filter bitmap into it.
+  // the (potentially large) filter bitmap into it. The search is filed in
+  // the active query trace (TraceVectorSearch); a hit replays the tier
+  // counts of the run that filled the entry.
   Result<VectorSearchResult> CachedTopK(
       VectorSearchRequest& request, size_t query_dim,
       const cache::Fingerprint& filter_fp, bool bypass_cache,
-      const std::function<Status()>& materialize_filter,
-      Cluster::DistributedStats* mpp_stats, cache::Outcome* outcome);
+      const std::function<Status()>& materialize_filter);
 
  private:
   Options options_;
@@ -151,6 +142,13 @@ class Database {
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<cache::QueryCache> cache_;
 };
+
+// Files one vector search in the active query trace, where EXPLAIN ANALYZE
+// reads it back: the result's tier counts as "search.segments",
+// "search.bruteforce_segments", "search.delta_candidates",
+// "search.quant_segments" and "search.reranked", and the top-k cache outcome
+// as "cache.topk_hit|miss|bypass". No-op without an active trace.
+void TraceVectorSearch(const VectorSearchResult& result, cache::Outcome outcome);
 
 }  // namespace tigervector
 

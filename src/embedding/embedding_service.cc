@@ -582,27 +582,6 @@ size_t EmbeddingService::SuggestVacuumThreads() const {
   return max_threads - active;
 }
 
-EmbeddingService::ServiceStats EmbeddingService::AggregateStats() const {
-  ServiceStats out;
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [key, state] : attr_states_) {
-    for (const auto& seg : state.segments) {
-      if (seg == nullptr) continue;
-      ++out.segments;
-      out.live_vectors += seg->index_size();
-      if (const auto* hnsw = dynamic_cast<const HnswIndex*>(seg->index().get())) {
-        const HnswStats stats = hnsw->stats();
-        out.distance_computations += stats.distance_computations;
-        out.hops += stats.hops;
-        out.searches += stats.searches;
-        out.inserts += stats.inserts;
-        out.updates += stats.updates;
-      }
-    }
-  }
-  return out;
-}
-
 size_t EmbeddingService::TotalPendingDeltas() const {
   size_t total = 0;
   std::shared_lock<std::shared_mutex> lock(mu_);

@@ -131,20 +131,6 @@ class EmbeddingService : public EmbeddingSink {
   size_t SuggestVacuumThreads() const;
 
   // --- Introspection ---
-  // Aggregated index statistics across all segments (paper Sec. 4.4: "we
-  // enhance the indexes to report relevant statistics for measuring its
-  // performance"). Non-HNSW indexes contribute zeros.
-  struct ServiceStats {
-    uint64_t distance_computations = 0;
-    uint64_t hops = 0;
-    uint64_t searches = 0;
-    uint64_t inserts = 0;
-    uint64_t updates = 0;
-    size_t segments = 0;
-    size_t live_vectors = 0;
-  };
-  ServiceStats AggregateStats() const;
-
   size_t TotalPendingDeltas() const;
   size_t NumEmbeddingSegments() const;
   // Embedding segments of one attribute, ordered by segment id.

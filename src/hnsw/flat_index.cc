@@ -12,7 +12,10 @@
 namespace tigervector {
 
 namespace {
-// Scan batch size for the gathered distance kernel (see brute_force.cc).
+// Rows accepted by the filter are gathered into fixed-size chunks and
+// handed to the batched kernel in one call: the metric dispatch resolves
+// once per chunk and upcoming rows are prefetched while the current one is
+// being reduced.
 constexpr size_t kScanBatch = 128;
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,66 +78,33 @@ uint64_t QuantParamsChecksum(const simd::Sq8Params& p) {
   return Fnv1a(p.max.data(), p.max.size() * sizeof(float), h);
 }
 
-// Per-instance stats stay authoritative for per-segment attribution; the
-// same increments mirror into the process-wide registry so exporters see
-// one aggregate without walking segments, and into per-thread tallies so a
-// search call can attribute its exact cost to the active query trace
-// (segment searches never span threads, so thread-local deltas are exact
-// even under concurrent queries).
-#if !defined(TIGERVECTOR_NO_METRICS)
+// Per-thread tally of the distance evaluations and hops made inside any
+// index. A segment search never spans threads, so the tally is exact per
+// call even under concurrent queries. Every public entry point that scores
+// vectors holds a CostFlushScope, which hands the tally to the registry and
+// the active query trace once per call.
 thread_local uint64_t tl_dist_evals = 0;
 thread_local uint64_t tl_hops = 0;
-#endif
 
-inline void CountDistComp(std::atomic<uint64_t>& stat) {
-  stat.fetch_add(1, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  ++tl_dist_evals;
-#endif
-  TV_COUNTER_INC("tv.hnsw.distance_evals_total");
-}
+inline void CountDistComps(uint64_t n) { tl_dist_evals += n; }
+inline void CountHop() { ++tl_hops; }
 
-// Batched form for the gathered-kernel paths: one atomic add per chunk
-// instead of one per vector pair.
-inline void CountDistComps(std::atomic<uint64_t>& stat, uint64_t n) {
-  if (n == 0) return;
-  stat.fetch_add(n, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  tl_dist_evals += n;
-#endif
-  TV_COUNTER_ADD("tv.hnsw.distance_evals_total", n);
-}
-
-// Fixed chunk size for gathered batch scans (see brute_force.cc).
+// Fixed chunk size for gathered batch scans.
 constexpr size_t kScanBatch = 128;
 
-inline void CountHop(std::atomic<uint64_t>& stat) {
-  stat.fetch_add(1, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  ++tl_hops;
-#endif
-  TV_COUNTER_INC("tv.hnsw.hops_total");
-}
-
-// RAII reporter: on destruction, adds this search call's thread-local
-// distance-eval/hop deltas to the active query trace (exact per-query
-// accounting, unlike a process-wide counter delta which mixes in
-// concurrent queries and background inserts).
-class TraceSearchCost {
- public:
-#if !defined(TIGERVECTOR_NO_METRICS)
-  TraceSearchCost() : dist0_(tl_dist_evals), hops0_(tl_hops) {}
-  ~TraceSearchCost() {
-    obs::QueryTrace* trace = obs::CurrentTrace();
-    if (trace == nullptr) return;
-    trace->AddCounter("hnsw.distance_evals", tl_dist_evals - dist0_);
-    trace->AddCounter("hnsw.hops", tl_hops - hops0_);
+// Flushes and zeroes the tally on exit. Zeroing makes nested scopes
+// (UpdateItems -> AddPoint) count each event once.
+struct CostFlushScope {
+  ~CostFlushScope() {
+    const uint64_t dist = std::exchange(tl_dist_evals, 0);
+    const uint64_t hops = std::exchange(tl_hops, 0);
+    TV_COUNTER_ADD("tv.hnsw.distance_evals_total", dist);
+    TV_COUNTER_ADD("tv.hnsw.hops_total", hops);
+    if (obs::QueryTrace* trace = obs::CurrentTrace()) {
+      trace->AddCounter("hnsw.distance_evals", dist);
+      trace->AddCounter("hnsw.hops", hops);
+    }
   }
-
- private:
-  uint64_t dist0_;
-  uint64_t hops0_;
-#endif
 };
 }  // namespace
 
@@ -152,7 +120,7 @@ HnswIndex::HnswIndex(const HnswParams& params)
 HnswIndex::~HnswIndex() = default;
 
 float HnswIndex::Dist(const float* query, uint32_t id) const {
-  CountDistComp(stat_dist_comps_);
+  CountDistComps(1);
   return ComputeDistance(params_.metric, query, DataAt(id), params_.dim);
 }
 
@@ -164,7 +132,7 @@ void HnswIndex::ScoreBatchGather(const float* query, const Sq8View* qv,
     for (size_t j = 0; j < n; ++j) rows[j] = DataAt(ids[j]);
     ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n, dists,
                                threshold);
-    CountDistComps(stat_dist_comps_, n);
+    CountDistComps(n);
     return;
   }
   const int8_t* crows[kScanBatch];
@@ -190,7 +158,7 @@ void HnswIndex::ScoreBatchGather(const float* query, const Sq8View* qv,
                            qdists, threshold);
     for (size_t j = 0; j < nq; ++j) dists[qpos[j]] = qdists[j];
   }
-  CountDistComps(stat_dist_comps_, n);
+  CountDistComps(n);
 }
 
 int HnswIndex::DrawLevel() {
@@ -221,7 +189,7 @@ uint32_t HnswIndex::GreedySearchLayer(const float* query, uint32_t entry,
       for (size_t j = 0; j < n; ++j) rows[j] = DataAt(neighbors[n0 + j]);
       ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
                                  dists);
-      CountDistComps(stat_dist_comps_, n);
+      CountDistComps(n);
       for (size_t j = 0; j < n; ++j) {
         if (dists[j] < curr_dist) {
           curr_dist = dists[j];
@@ -230,7 +198,7 @@ uint32_t HnswIndex::GreedySearchLayer(const float* query, uint32_t entry,
         }
       }
     }
-    CountHop(stat_hops_);
+    CountHop();
   }
   return curr;
 }
@@ -258,7 +226,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
     const Candidate c = frontier.top();
     if (top.size() >= ef && c.distance > top.top().distance) break;
     frontier.pop();
-    CountHop(stat_hops_);
+    CountHop();
     // Cooperative cancellation: a request deadline expiring mid-scan stops
     // the traversal within one check interval. The partial beam is
     // discarded by the caller (EmbeddingService checks the token after the
@@ -329,7 +297,7 @@ void HnswIndex::SelectNeighbors(const float* base, std::vector<Candidate>& candi
     for (const Candidate& s : selected) {
       const float d = ComputeDistance(params_.metric, DataAt(c.id), DataAt(s.id),
                                       params_.dim);
-      CountDistComp(stat_dist_comps_);
+      CountDistComps(1);
       if (d < c.distance) {
         good = false;
         break;
@@ -379,11 +347,11 @@ void HnswIndex::ConnectNode(uint32_t id, int level,
     peer_cands.reserve(links.size() + 1);
     const float* peer_vec = DataAt(c.id);
     for (uint32_t n : links) {
-      CountDistComp(stat_dist_comps_);
+      CountDistComps(1);
       peer_cands.push_back(
           Candidate{ComputeDistance(params_.metric, peer_vec, DataAt(n), params_.dim), n});
     }
-    CountDistComp(stat_dist_comps_);
+    CountDistComps(1);
     peer_cands.push_back(
         Candidate{ComputeDistance(params_.metric, peer_vec, DataAt(id), params_.dim), id});
     SelectNeighbors(peer_vec, peer_cands, max_links);
@@ -394,6 +362,7 @@ void HnswIndex::ConnectNode(uint32_t id, int level,
 
 Status HnswIndex::AddPoint(uint64_t label, const float* vec) {
   TV_SPAN("hnsw.insert");
+  CostFlushScope cost_scope;
   uint32_t existing = kInvalidId;
   {
     std::lock_guard<std::mutex> lock(global_mu_);
@@ -444,7 +413,6 @@ Status HnswIndex::InsertInternal(uint64_t label, const float* vec) {
       entry_point_ = id;
       max_level_ = node_level;
       live_count_.fetch_add(1);
-      stat_inserts_.fetch_add(1, std::memory_order_relaxed);
       TV_COUNTER_INC("tv.hnsw.inserts_total");
       return Status::OK();
     }
@@ -468,7 +436,7 @@ Status HnswIndex::InsertInternal(uint64_t label, const float* vec) {
     }
   }
   live_count_.fetch_add(1);
-  stat_inserts_.fetch_add(1, std::memory_order_relaxed);
+  TV_COUNTER_INC("tv.hnsw.inserts_total");
   return Status::OK();
 }
 
@@ -560,7 +528,7 @@ Status HnswIndex::UpdateInternal(uint32_t id, const float* vec) {
       std::vector<Candidate> ranked;
       ranked.reserve(pool.size());
       for (uint32_t peer : pool) {
-        CountDistComp(stat_dist_comps_);
+        CountDistComps(1);
         ranked.push_back(Candidate{
             ComputeDistance(params_.metric, vec, DataAt(peer), params_.dim), peer});
       }
@@ -575,7 +543,7 @@ Status HnswIndex::UpdateInternal(uint32_t id, const float* vec) {
       const float* peer_vec = DataAt(n);
       for (uint32_t peer : pool) {
         if (peer == n) continue;
-        CountDistComp(stat_dist_comps_);
+        CountDistComps(1);
         peer_cands.push_back(Candidate{
             ComputeDistance(params_.metric, peer_vec, DataAt(peer), params_.dim),
             peer});
@@ -589,12 +557,12 @@ Status HnswIndex::UpdateInternal(uint32_t id, const float* vec) {
       for (const Candidate& pc : peer_cands) links.push_back(pc.id);
     }
   }
-  stat_updates_.fetch_add(1, std::memory_order_relaxed);
   TV_COUNTER_INC("tv.hnsw.updates_total");
   return Status::OK();
 }
 
 Status HnswIndex::UpdateItems(const std::vector<UpdateItem>& items, ThreadPool* pool) {
+  CostFlushScope cost_scope;
   if (items.empty()) return Status::OK();
   const size_t num_buckets = pool != nullptr ? pool->num_threads() : 1;
   // Partition items by label so each worker owns a disjoint label subset;
@@ -684,8 +652,7 @@ Status HnswIndex::GetEmbedding(uint64_t label, float* out) const {
 std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_t ef,
                                              const FilterView& filter) const {
   TV_SPAN("hnsw.search");
-  TraceSearchCost cost_scope;
-  stat_searches_.fetch_add(1, std::memory_order_relaxed);
+  CostFlushScope cost_scope;
   TV_COUNTER_INC("tv.hnsw.searches_total");
   std::vector<SearchHit> out;
   uint32_t entry;
@@ -804,7 +771,7 @@ std::vector<SearchHit> HnswIndex::RangeSearch(const float* query, float threshol
 
 std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
                                                    const FilterView& filter) const {
-  TraceSearchCost cost_scope;
+  CostFlushScope cost_scope;
   const uint32_t count = NodeCount();
   std::shared_ptr<Sq8Tier> tier;
   {
@@ -948,24 +915,6 @@ bool HnswIndex::quant_active() const {
 }
 
 size_t HnswIndex::size() const { return live_count_.load(); }
-
-HnswStats HnswIndex::stats() const {
-  HnswStats s;
-  s.distance_computations = stat_dist_comps_.load(std::memory_order_relaxed);
-  s.hops = stat_hops_.load(std::memory_order_relaxed);
-  s.searches = stat_searches_.load(std::memory_order_relaxed);
-  s.inserts = stat_inserts_.load(std::memory_order_relaxed);
-  s.updates = stat_updates_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void HnswIndex::ResetStats() {
-  stat_dist_comps_.store(0, std::memory_order_relaxed);
-  stat_hops_.store(0, std::memory_order_relaxed);
-  stat_searches_.store(0, std::memory_order_relaxed);
-  stat_inserts_.store(0, std::memory_order_relaxed);
-  stat_updates_.store(0, std::memory_order_relaxed);
-}
 
 std::vector<uint64_t> HnswIndex::Labels() const {
   std::lock_guard<std::mutex> lock(global_mu_);

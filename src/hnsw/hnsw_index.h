@@ -32,17 +32,6 @@ struct HnswParams {
   bool sq8 = false;             // keep an int8 SQ8 tier beside the fp32 rows
 };
 
-// Cumulative counters the index reports so the engine can measure its
-// performance (paper Sec. 4.4: "we enhance the indexes to report relevant
-// statistics").
-struct HnswStats {
-  uint64_t distance_computations = 0;
-  uint64_t hops = 0;
-  uint64_t searches = 0;
-  uint64_t inserts = 0;
-  uint64_t updates = 0;
-};
-
 // From-scratch HNSW (Malkov & Yashunin, TPAMI'20) with the heuristic
 // neighbor selection of Algorithm 4. Supports concurrent reads, locked
 // concurrent inserts, tombstone deletes, in-place updates with link repair,
@@ -51,7 +40,9 @@ struct HnswStats {
 //
 // This is the "open-source HNSW library" substrate of the paper (Sec. 4.4);
 // the four generic functions TigerVector needs are GetEmbedding,
-// TopKSearch, RangeSearch, and UpdateItems.
+// TopKSearch, RangeSearch, and UpdateItems. Each public call reports the
+// distance evaluations and hops it made ("relevant statistics for measuring
+// its performance") to the metrics registry and the active query trace.
 class HnswIndex : public VectorIndex {
  public:
   // Batch records keep their historical nested name.
@@ -120,10 +111,6 @@ class HnswIndex : public VectorIndex {
   // searches run; searches pick up the new tier on their next snapshot.
   Status TrainQuantization() override;
   bool quant_active() const override;
-
-  // Snapshot of the cumulative counters.
-  HnswStats stats() const;
-  void ResetStats();
 
   // Serialization (index snapshot files, paper Fig. 4).
   Status SaveToFile(const std::string& path) const;
@@ -221,12 +208,6 @@ class HnswIndex : public VectorIndex {
   int max_level_ = -1;
   Rng level_rng_;
   std::atomic<size_t> live_count_{0};
-
-  mutable std::atomic<uint64_t> stat_dist_comps_{0};
-  mutable std::atomic<uint64_t> stat_hops_{0};
-  mutable std::atomic<uint64_t> stat_searches_{0};
-  std::atomic<uint64_t> stat_inserts_{0};
-  std::atomic<uint64_t> stat_updates_{0};
 };
 
 }  // namespace tigervector

@@ -11,7 +11,7 @@
 namespace tigervector {
 
 namespace {
-// Scan batch size for the gathered distance kernel (see brute_force.cc).
+// Scan batch size for the gathered distance kernel (see flat_index.cc).
 constexpr size_t kScanBatch = 128;
 }  // namespace
 

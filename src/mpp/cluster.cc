@@ -72,7 +72,6 @@ Result<std::vector<std::vector<SegmentId>>> Cluster::ShardSegments(
 
 template <typename Fn>
 Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& request,
-                                                  DistributedStats* stats,
                                                   Fn local_search,
                                                   bool merge_topk) const {
   TV_SPAN("cluster.scatter_gather");
@@ -183,52 +182,33 @@ Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& req
   const double merge_seconds = merge_timer.ElapsedSeconds();
   obs::RecordSpanMicros("cluster.merge", merge_seconds * 1e6);
   TV_HISTOGRAM_OBSERVE("tv.cluster.merge_seconds", merge_seconds);
-  for (const ServerResponse& resp : responses) {
-    if (resp.participated) {
-      TV_HISTOGRAM_OBSERVE("tv.cluster.server_seconds", resp.seconds);
-    }
+  for (size_t server = 0; server < responses.size(); ++server) {
+    if (!responses[server].participated) continue;
+    const double seconds = responses[server].seconds;
+    obs::RecordSpanMicros(("cluster.server_" + std::to_string(server)).c_str(),
+                          seconds * 1e6);
+    TV_HISTOGRAM_OBSERVE("tv.cluster.server_seconds", seconds);
   }
   TV_HISTOGRAM_OBSERVE("tv.cluster.fanout_seconds", total_timer.ElapsedSeconds());
-  if (stats != nullptr) {
-    stats->server_seconds.clear();
-    for (const ServerResponse& resp : responses) {
-      stats->server_seconds.push_back(resp.participated ? resp.seconds : 0.0);
-    }
-    stats->merge_seconds = merge_seconds;
-    stats->total_seconds = total_timer.ElapsedSeconds();
-  }
   return merged;
 }
 
-Result<VectorSearchResult> Cluster::DistributedTopK(const VectorSearchRequest& request,
-                                                    DistributedStats* stats) const {
+Result<VectorSearchResult> Cluster::DistributedTopK(
+    const VectorSearchRequest& request) const {
   return ScatterGather(
-      request, stats,
+      request,
       [this](const VectorSearchRequest& local) { return service_->TopKSearch(local); },
       /*merge_topk=*/true);
 }
 
 Result<VectorSearchResult> Cluster::DistributedRange(const VectorSearchRequest& request,
-                                                     float threshold,
-                                                     DistributedStats* stats) const {
+                                                     float threshold) const {
   return ScatterGather(
-      request, stats,
+      request,
       [this, threshold](const VectorSearchRequest& local) {
         return service_->RangeSearch(local, threshold);
       },
       /*merge_topk=*/false);
-}
-
-double Cluster::ProjectedQps(const DistributedStats& stats) const {
-  // Every query is scattered to every server, so with dedicated hardware
-  // per server the pipeline is gated by the slowest shard: QPS ≈
-  // threads_per_server / max_i(t_i). As servers are added each shard
-  // shrinks, so max_i(t_i) drops roughly linearly — the paper's 1.84-1.91x
-  // per doubling at high recall.
-  double slowest = 0;
-  for (double sec : stats.server_seconds) slowest = std::max(slowest, sec);
-  if (slowest <= 0) return 0;
-  return static_cast<double>(options_.threads_per_server) / slowest;
 }
 
 }  // namespace tigervector

@@ -14,13 +14,9 @@ namespace tigervector {
 // to logical servers round-robin (segment id modulo server count); one
 // server acts as the coordinator, preparing per-server top-k requests in a
 // send queue and merging responses from the response pool. Each logical
-// server owns a thread pool standing in for its cores.
-//
-// On the single-machine testbed the servers share RAM and CPUs, so the
-// cluster also reports per-server busy times from which an analytic
-// projection of N-dedicated-node throughput is derived (see
-// ProjectedQps()); EXPERIMENTS.md spells out how those projections map to
-// the paper's multi-machine figures.
+// server owns a thread pool standing in for its cores. Each server's
+// local-search time and the coordinator's merge time are recorded in the
+// active query trace as spans "cluster.server_<i>" and "cluster.merge".
 class Cluster {
  public:
   struct Options {
@@ -46,28 +42,13 @@ class Cluster {
   // Servers hosting (a replica of) the segment, primary first.
   std::vector<size_t> ReplicaSetOf(SegmentId seg) const;
 
-  struct DistributedStats {
-    // Wall-clock seconds each server spent on its local search.
-    std::vector<double> server_seconds;
-    double merge_seconds = 0;
-    double total_seconds = 0;
-  };
-
   // Distributed top-k: scatter the request to every server owning at least
   // one relevant segment, gather local top-k lists, merge globally.
-  Result<VectorSearchResult> DistributedTopK(const VectorSearchRequest& request,
-                                             DistributedStats* stats = nullptr) const;
+  Result<VectorSearchResult> DistributedTopK(const VectorSearchRequest& request) const;
 
   // Distributed range search with the same scatter/gather shape.
   Result<VectorSearchResult> DistributedRange(const VectorSearchRequest& request,
-                                              float threshold,
-                                              DistributedStats* stats = nullptr) const;
-
-  // Analytic throughput projection: if each logical server ran on its own
-  // machine with `threads_per_server` cores, a closed-loop load generator
-  // would sustain roughly sum_i(threads / t_i) queries/sec, bounded by the
-  // slowest shard. Returns that estimate from one request's stats.
-  double ProjectedQps(const DistributedStats& stats) const;
+                                              float threshold) const;
 
   // The thread pool of one logical server (e.g. to hand to the embedding
   // service for other work).
@@ -81,8 +62,7 @@ class Cluster {
 
   template <typename Fn>
   Result<VectorSearchResult> ScatterGather(const VectorSearchRequest& request,
-                                           DistributedStats* stats, Fn local_search,
-                                           bool merge_topk) const;
+                                           Fn local_search, bool merge_topk) const;
 
   GraphStore* store_;
   EmbeddingService* service_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -94,17 +95,6 @@ Result<const std::vector<float>*> ParamAsVector(const QueryParams& params,
   return &std::get<std::vector<float>>(it->second);
 }
 
-// Current value of a per-query trace counter; EXPLAIN ANALYZE brackets
-// searches with this to attribute exact distance-eval/hop deltas to one
-// plan node.
-uint64_t TraceCounter(const char* name) {
-  obs::QueryTrace* trace = obs::CurrentTrace();
-  if (trace == nullptr) return 0;
-  const auto counters = trace->Counters();
-  const auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
-}
-
 std::string FmtMillis(double seconds) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
@@ -166,6 +156,69 @@ std::string ScanCacheLabel(size_t hits, size_t misses, size_t bypasses) {
   if (!h && !m) return "bypass";
   return "partial(hit=" + std::to_string(hits) + ",miss=" + std::to_string(misses) +
          ",bypass=" + std::to_string(bypasses) + ")";
+}
+
+// The active query trace at one instant. EXPLAIN ANALYZE snapshots it
+// before and after a search node; every actual of the node is the diff.
+// Spans are compared by position: a query's span list only grows.
+struct TraceSnapshot {
+  std::map<std::string, uint64_t> counters;
+  std::vector<obs::QueryTrace::Span> spans;
+};
+
+TraceSnapshot SnapshotTrace() {
+  TraceSnapshot snap;
+  if (const obs::QueryTrace* trace = obs::CurrentTrace()) {
+    snap.counters = trace->Counters();
+    snap.spans = trace->Spans();
+  }
+  return snap;
+}
+
+// Appends the actuals every vector-search node reports, all read from what
+// the trace gained since `before`: tier counts, quantization, HNSW cost, the
+// top-k cache outcome and, under an MPP `cluster`, per-server and merge
+// times. Range search pins quantization off, so `range` fixes that line.
+void AddSearchActuals(const TraceSnapshot& before, const Cluster* cluster, bool range,
+                      std::vector<std::pair<std::string, std::string>>* actuals) {
+  const TraceSnapshot after = SnapshotTrace();
+  auto delta = [&](const char* name) -> uint64_t {
+    const auto now = after.counters.find(name);
+    if (now == after.counters.end()) return 0;
+    const auto then = before.counters.find(name);
+    return now->second - (then == before.counters.end() ? 0 : then->second);
+  };
+  auto add = [&](std::string key, std::string value) {
+    actuals->emplace_back(std::move(key), std::move(value));
+  };
+  add("segments_searched", std::to_string(delta("search.segments")));
+  add("bruteforce_segments", std::to_string(delta("search.bruteforce_segments")));
+  add("delta_candidates", std::to_string(delta("search.delta_candidates")));
+  if (range) {
+    add("quant", "off (range is exact)");
+  } else {
+    add("quant", delta("search.quant_segments") > 0
+                     ? "sq8, reranked " + std::to_string(delta("search.reranked"))
+                     : "off");
+  }
+  add("hnsw_distance_evals", std::to_string(delta("hnsw.distance_evals")));
+  add("hnsw_hops", std::to_string(delta("hnsw.hops")));
+  add("cache", ScanCacheLabel(delta("cache.topk_hit"), delta("cache.topk_miss"),
+                              delta("cache.topk_bypass")));
+  if (cluster == nullptr) return;
+  std::map<std::string, double> seconds;  // by span name
+  for (size_t i = before.spans.size(); i < after.spans.size(); ++i) {
+    seconds[after.spans[i].name] += after.spans[i].micros / 1e6;
+  }
+  // A search served without fanning out (a cache hit) has no server lines;
+  // one that did lists every server, idle ones at zero.
+  if (seconds.count("cluster.merge") > 0) {
+    for (size_t s = 0; s < cluster->num_servers(); ++s) {
+      add("server_" + std::to_string(s),
+          FmtMillis(seconds["cluster.server_" + std::to_string(s)]));
+    }
+  }
+  add("mpp_merge", FmtMillis(seconds["cluster.merge"]));
 }
 
 }  // namespace
@@ -822,19 +875,23 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       request.filter = FilterView(&bitmap);
     }
     const size_t cand_in = cand[spec.node].size();
-    const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-    const uint64_t hops0 = TraceCounter("hnsw.hops");
-    Cluster::DistributedStats mpp_stats;
+    const int plan_idx = range_plan_idx[range_i];
+    const bool analyze = explain != nullptr && plan_idx >= 0;
+    const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
     auto hits = db_->cluster() != nullptr
-                    ? db_->cluster()->DistributedRange(
-                          request, static_cast<float>(threshold), &mpp_stats)
+                    ? db_->cluster()->DistributedRange(request,
+                                                       static_cast<float>(threshold))
                     : db_->embeddings()->RangeSearch(request,
                                                      static_cast<float>(threshold));
     if (!hits.ok()) return hits.status();
+    // Range results (unbounded hit count, ef-doubling restarts) are not
+    // admitted to the top-k result cache.
+    TraceVectorSearch(*hits, cache::Outcome::kBypass);
     VertexSet in_range;
+    auto& distances = result.distances ? *result.distances : result.distances.emplace();
     for (const SearchHit& h : hits->hits) {
       in_range.insert(h.label);
-      result.distances[h.label] = h.distance;
+      distances[h.label] = h.distance;
     }
     if (pure) {
       cand[spec.node] = std::move(in_range);
@@ -845,31 +902,13 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       }
       cand[spec.node] = std::move(kept);
     }
-    const int plan_idx = range_plan_idx[range_i];
-    add_actual(plan_idx, "candidates_in",
-               pure ? "all (pure range)" : std::to_string(cand_in));
-    add_actual(plan_idx, "hits_in_range", std::to_string(hits->hits.size()));
-    add_actual(plan_idx, "rows_out", std::to_string(cand[spec.node].size()));
-    add_actual(plan_idx, "segments_searched",
-               std::to_string(hits->segments_searched));
-    add_actual(plan_idx, "bruteforce_segments",
-               std::to_string(hits->bruteforce_segments));
-    add_actual(plan_idx, "delta_candidates", std::to_string(hits->delta_candidates));
-    // Range search pins quantization off: its oracle tiers depend on exact
-    // distances against the threshold.
-    add_actual(plan_idx, "quant", "off (range is exact)");
-    add_actual(plan_idx, "hnsw_distance_evals",
-               std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    add_actual(plan_idx, "hnsw_hops", std::to_string(TraceCounter("hnsw.hops") - hops0));
-    // Range results (unbounded hit count, ef-doubling restarts) are not
-    // admitted to the top-k result cache.
-    add_actual(plan_idx, "cache", "bypass");
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        add_actual(plan_idx, "server_" + std::to_string(s),
-                   FmtMillis(mpp_stats.server_seconds[s]));
-      }
-      add_actual(plan_idx, "mpp_merge", FmtMillis(mpp_stats.merge_seconds));
+    if (analyze) {
+      add_actual(plan_idx, "candidates_in",
+                 pure ? "all (pure range)" : std::to_string(cand_in));
+      add_actual(plan_idx, "hits_in_range", std::to_string(hits->hits.size()));
+      add_actual(plan_idx, "rows_out", std::to_string(cand[spec.node].size()));
+      AddSearchActuals(before, db_->cluster(), /*range=*/true,
+                       &explain->nodes[plan_idx].actuals);
     }
   }
 
@@ -1071,46 +1110,27 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
         return Status::OK();
       };
     }
-    const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-    const uint64_t hops0 = TraceCounter("hnsw.hops");
-    Cluster::DistributedStats mpp_stats;
-    cache::Outcome topk_outcome = cache::Outcome::kBypass;
+    const bool analyze = explain != nullptr && topk_plan_idx >= 0;
+    const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
     auto hits = db_->CachedTopK(request, (*query)->size(), filter_fp, cache_bypass_,
-                                materialize, &mpp_stats, &topk_outcome);
+                                materialize);
     if (!hits.ok()) return hits.status();
     result.vertices.clear();
+    auto& distances = result.distances ? *result.distances : result.distances.emplace();
     for (const SearchHit& h : hits->hits) {
       result.vertices.insert(h.label);
-      result.distances[h.label] = h.distance;
+      distances[h.label] = h.distance;
     }
-    add_actual(topk_plan_idx, "filter_candidates",
-               pure ? "none (pure search)" : std::to_string(cand[idx].size()));
-    if (!pure) {
-      add_actual(topk_plan_idx, "filter_selectivity",
-                 FmtSelectivity(cand[idx].size(), db_->store()->vid_upper_bound()));
-    }
-    add_actual(topk_plan_idx, "rows_out", std::to_string(result.vertices.size()));
-    add_actual(topk_plan_idx, "segments_searched",
-               std::to_string(hits->segments_searched));
-    add_actual(topk_plan_idx, "bruteforce_segments",
-               std::to_string(hits->bruteforce_segments));
-    add_actual(topk_plan_idx, "delta_candidates",
-               std::to_string(hits->delta_candidates));
-    add_actual(topk_plan_idx, "quant",
-               hits->quant_segments > 0
-                   ? "sq8, reranked " + std::to_string(hits->reranked)
-                   : "off");
-    add_actual(topk_plan_idx, "hnsw_distance_evals",
-               std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    add_actual(topk_plan_idx, "hnsw_hops",
-               std::to_string(TraceCounter("hnsw.hops") - hops0));
-    add_actual(topk_plan_idx, "cache", cache::OutcomeName(topk_outcome));
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        add_actual(topk_plan_idx, "server_" + std::to_string(s),
-                   FmtMillis(mpp_stats.server_seconds[s]));
+    if (analyze) {
+      add_actual(topk_plan_idx, "filter_candidates",
+                 pure ? "none (pure search)" : std::to_string(cand[idx].size()));
+      if (!pure) {
+        add_actual(topk_plan_idx, "filter_selectivity",
+                   FmtSelectivity(cand[idx].size(), db_->store()->vid_upper_bound()));
       }
-      add_actual(topk_plan_idx, "mpp_merge", FmtMillis(mpp_stats.merge_seconds));
+      add_actual(topk_plan_idx, "rows_out", std::to_string(result.vertices.size()));
+      AddSearchActuals(before, db_->cluster(), /*range=*/false,
+                       &explain->nodes[topk_plan_idx].actuals);
     }
     return result;
   }
@@ -1212,45 +1232,17 @@ Result<VertexSet> QueryExecutor::ExecuteVectorSearch(
   }
   if (!execute) return VertexSet{};
 
-  VectorSearchResult search_stats;
-  Cluster::DistributedStats mpp_stats;
-  cache::Outcome vs_outcome = cache::Outcome::kBypass;
-  options.result_stats = &search_stats;
-  options.mpp_stats = &mpp_stats;
   options.bypass_cache = cache_bypass_;
-  options.cache_outcome = &vs_outcome;
-  const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-  const uint64_t hops0 = TraceCounter("hnsw.hops");
+  const bool analyze = explain != nullptr && plan_idx >= 0;
+  const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
   auto out = db_->VectorSearch(stmt.attrs, **query, k, options);
-  if (explain != nullptr && plan_idx >= 0 && out.ok()) {
+  if (analyze && out.ok()) {
     auto& actuals = explain->nodes[plan_idx].actuals;
     if (filter != nullptr) {
       actuals.emplace_back("filter_candidates", std::to_string(filter->size()));
     }
     actuals.emplace_back("rows_out", std::to_string(out->size()));
-    actuals.emplace_back("segments_searched",
-                         std::to_string(search_stats.segments_searched));
-    actuals.emplace_back("bruteforce_segments",
-                         std::to_string(search_stats.bruteforce_segments));
-    actuals.emplace_back("delta_candidates",
-                         std::to_string(search_stats.delta_candidates));
-    actuals.emplace_back("quant",
-                         search_stats.quant_segments > 0
-                             ? "sq8, reranked " +
-                                   std::to_string(search_stats.reranked)
-                             : "off");
-    actuals.emplace_back("hnsw_distance_evals",
-                         std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    actuals.emplace_back("hnsw_hops",
-                         std::to_string(TraceCounter("hnsw.hops") - hops0));
-    actuals.emplace_back("cache", cache::OutcomeName(vs_outcome));
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        actuals.emplace_back("server_" + std::to_string(s),
-                             FmtMillis(mpp_stats.server_seconds[s]));
-      }
-      actuals.emplace_back("mpp_merge", FmtMillis(mpp_stats.merge_seconds));
-    }
+    AddSearchActuals(before, db_->cluster(), /*range=*/false, &actuals);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef TIGERVECTOR_QUERY_EXECUTOR_H_
 #define TIGERVECTOR_QUERY_EXECUTOR_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -40,10 +41,10 @@ struct PlanDescription {
 
 // Result of one SELECT block.
 struct SelectResult {
-  // Single-alias selects fill `vertices` (+ `distances` when the block ran
-  // a vector search).
+  // Single-alias selects fill `vertices`; a block that ran a vector search
+  // (top-k or range) also sets `distances`, even when it found nothing.
   VertexSet vertices;
-  std::unordered_map<VertexId, float> distances;
+  std::optional<std::unordered_map<VertexId, float>> distances;
   // Similarity joins fill `pairs` sorted by ascending distance.
   struct Pair {
     VertexId source;

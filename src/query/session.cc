@@ -137,8 +137,15 @@ Status GsqlSession::ExecuteStatements(const std::vector<Statement>& statements,
         }
       } else if (!s->out_var.empty()) {
         vars_[s->out_var] = r->vertices;
-        if (!r->distances.empty()) {
-          dist_maps_["@@" + s->out_var + "_dist"] = r->distances;
+      }
+      if (!s->out_var.empty()) {
+        // @@<var>_dist always describes the latest assignment: a vector
+        // SELECT replaces it (even with no hits), any other SELECT drops it.
+        const std::string dist_name = "@@" + s->out_var + "_dist";
+        if (r->distances) {
+          dist_maps_[dist_name] = std::move(*r->distances);
+        } else {
+          dist_maps_.erase(dist_name);
         }
       }
     } else if (const auto* s = std::get_if<VectorSearchStmt>(&statement)) {

@@ -918,8 +918,8 @@ bool FuzzCase::CheckMpp(const std::string& label, const std::string& type,
       is_range ? db_->embeddings()->RangeSearch(request, threshold)
                : db_->embeddings()->TopKSearch(request);
   Result<VectorSearchResult> distributed =
-      is_range ? db_->cluster()->DistributedRange(request, threshold, nullptr)
-               : db_->cluster()->DistributedTopK(request, nullptr);
+      is_range ? db_->cluster()->DistributedRange(request, threshold)
+               : db_->cluster()->DistributedTopK(request);
   if (!single.ok() || !distributed.ok()) {
     return Fail("mpp-error",
                 "single: " + single.status().ToString() +

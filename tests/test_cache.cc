@@ -463,9 +463,11 @@ TEST_F(CacheFixture, ProfileAlwaysBypassesCache) {
       session_->Run(std::string("PROFILE ") + kPureTopK, Params({21, 0, 0, 0}));
   ASSERT_TRUE(prof.ok()) << prof.status().ToString();
   ASSERT_TRUE(prof->profiled);
-  auto it = prof->profile_counters.find("hnsw.distance_evals");
-  ASSERT_NE(it, prof->profile_counters.end()) << prof->profile;
-  EXPECT_GT(it->second, 0u);
+  // The trace files the top-k cache outcome: the profiled run bypassed the
+  // warm entry and did the HNSW work itself.
+  EXPECT_EQ(prof->profile_counters["cache.topk_bypass"], 1u) << prof->profile;
+  EXPECT_EQ(prof->profile_counters.count("cache.topk_hit"), 0u) << prof->profile;
+  EXPECT_GT(prof->profile_counters["hnsw.distance_evals"], 0u) << prof->profile;
   // The forced bypass is scoped to the PROFILE run: the next plain query on
   // the same session is served from the still-warm cache.
   EXPECT_TRUE(Has(Analyze(kPureTopK, Params({21, 0, 0, 0})), "* cache: hit"));

@@ -2,9 +2,14 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
+#include "hnsw/hnsw_index.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "query/session.h"
+#include "util/rng.h"
 #include "workload/driver.h"
 
 namespace tigervector {
@@ -369,6 +374,84 @@ TEST_F(CacheConcurrencyFixture, CachedReadersRaceMutatorsAndVacuum) {
   }
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GE(checks.load() + final_checks, 24);
+}
+
+// HNSW cost accounting has one channel: every public call flushes its
+// thread-local tally into the registry and the caller's active trace at
+// once. Under concurrent searches each trace must hold exactly its own
+// queries' cost, and the registry delta exactly the sum of all traces.
+TEST(HnswCostAccountingTest, RegistryDeltaEqualsSumOfPerThreadTraces) {
+  constexpr size_t kDim = 16;
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 40;
+  HnswParams params;
+  params.dim = kDim;
+  params.m = 8;
+  params.ef_construction = 64;
+  params.max_elements = 1000;
+  HnswIndex index(params);
+  Rng rng(5);
+  std::vector<float> v(kDim);
+  for (uint64_t i = 0; i < params.max_elements; ++i) {
+    for (float& x : v) x = rng.NextFloat();
+    ASSERT_TRUE(index.AddPoint(i, v.data()).ok());
+  }
+  auto run_queries = [&](int thread) {
+    Rng qrng(100 + thread);
+    std::vector<float> q(kDim);
+    for (int i = 0; i < kQueriesPerThread; ++i) {
+      for (float& x : q) x = qrng.NextFloat();
+      // RangeSearch nests TopKSearch calls; neither may count twice.
+      if (i % 4 == 3) {
+        (void)index.RangeSearch(q.data(), 0.5f, 8, 32);
+      } else {
+        (void)index.TopKSearch(q.data(), 10, 64);
+      }
+    }
+  };
+
+  obs::Counter* evals =
+      obs::MetricsRegistry::Global().GetCounter("tv.hnsw.distance_evals_total");
+  obs::Counter* hops = obs::MetricsRegistry::Global().GetCounter("tv.hnsw.hops_total");
+  const uint64_t evals0 = evals->Value();
+  const uint64_t hops0 = hops->Value();
+  std::vector<obs::QueryTrace> traces(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      obs::ScopedTraceActivation activation(&traces[t]);
+      run_queries(t);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const uint64_t registry_evals = evals->Value() - evals0;
+  const uint64_t registry_hops = hops->Value() - hops0;
+
+  uint64_t trace_evals = 0;
+  uint64_t trace_hops = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    auto counters = traces[t].Counters();
+    EXPECT_GT(counters["hnsw.distance_evals"], 0u);
+    EXPECT_GT(counters["hnsw.hops"], 0u);
+    trace_evals += counters["hnsw.distance_evals"];
+    trace_hops += counters["hnsw.hops"];
+    // Searches over a static index are deterministic, so a solo replay of
+    // this thread's queries must record the very same cost: nothing leaked
+    // in from the other threads.
+    obs::QueryTrace replay;
+    {
+      obs::ScopedTraceActivation activation(&replay);
+      run_queries(t);
+    }
+    EXPECT_EQ(replay.Counters(), counters) << "thread " << t;
+  }
+#if !defined(TIGERVECTOR_NO_METRICS)
+  EXPECT_EQ(registry_evals, trace_evals);
+  EXPECT_EQ(registry_hops, trace_hops);
+#else
+  (void)registry_evals;
+  (void)registry_hops;
+#endif
 }
 
 TEST(OpenLoopDriverTest, MeasuresFromSchedule) {

@@ -509,27 +509,6 @@ TEST_F(EmbeddingServiceFixture, SuggestVacuumThreadsBacksOffUnderLoad) {
   EXPECT_EQ(service_->active_searches(), 0u);
 }
 
-TEST_F(EmbeddingServiceFixture, AggregateStatsReportIndexActivity) {
-  for (int i = 0; i < 20; ++i) {
-    AddPost("en", {static_cast<float>(i), 0, 0, 0});
-  }
-  ASSERT_TRUE(service_->RunDeltaMerge().ok());
-  ASSERT_TRUE(service_->RunIndexMerge(pool_.get()).ok());
-  auto before = service_->AggregateStats();
-  EXPECT_EQ(before.live_vectors, 20u);
-  EXPECT_GT(before.inserts, 0u);
-  std::vector<float> q = {3, 0, 0, 0};
-  VectorSearchRequest request;
-  request.attrs = {{"Post", "emb"}};
-  request.query = q.data();
-  request.k = 3;
-  request.ef = 32;
-  ASSERT_TRUE(service_->TopKSearch(request).ok());
-  auto after = service_->AggregateStats();
-  EXPECT_GT(after.searches, before.searches);
-  EXPECT_GT(after.distance_computations, before.distance_computations);
-}
-
 TEST_F(EmbeddingServiceFixture, DiskBackedDeltaFilesRoundTripThroughVacuum) {
   // Re-create the service with a delta directory: stage 1 persists files,
   // stage 2 retires them from disk.

@@ -423,8 +423,6 @@ TEST_F(ExplainFixture, RangeShape) {
   EXPECT_TRUE(Has(an->explain, "* rows_out:")) << an->explain;
 }
 
-#if !defined(TIGERVECTOR_NO_METRICS)
-
 // EXPLAIN ANALYZE actuals must reconcile with PROFILE: the same deterministic
 // search does the same HNSW work, and both report it from the same trace
 // counters.
@@ -445,6 +443,8 @@ TEST_F(ExplainFixture, AnalyzeActualsReconcileWithProfile) {
   ASSERT_NE(it, prof->profile_counters.end());
   EXPECT_EQ(it->second, analyze_evals);
 }
+
+#if !defined(TIGERVECTOR_NO_METRICS)
 
 TEST_F(ExplainFixture, EveryQueryIsFiledInTheFlightRecorder) {
   auto result = session_->Run(kPureTopK, Params({21, 0, 0, 0}));

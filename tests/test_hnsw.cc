@@ -5,7 +5,7 @@
 #include <set>
 #include <vector>
 
-#include "hnsw/brute_force.h"
+#include "hnsw/flat_index.h"
 #include "hnsw/hnsw_index.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -34,12 +34,12 @@ class HnswFixture : public ::testing::Test {
   void Build(size_t n, size_t dim, Metric metric = Metric::kL2) {
     dim_ = dim;
     index_ = std::make_unique<HnswIndex>(SmallParams(dim, n + 16, metric));
-    brute_ = std::make_unique<BruteForceSearcher>(dim, metric);
+    exact_ = std::make_unique<FlatIndex>(dim, metric);
     Rng rng(21);
     for (size_t i = 0; i < n; ++i) {
       auto v = RandomPoint(&rng, dim);
       ASSERT_TRUE(index_->AddPoint(i, v.data()).ok());
-      brute_->Add(i, v.data());
+      ASSERT_TRUE(exact_->AddPoint(i, v.data()).ok());
       data_.push_back(std::move(v));
     }
   }
@@ -50,7 +50,7 @@ class HnswFixture : public ::testing::Test {
     for (size_t q = 0; q < num_queries; ++q) {
       auto query = RandomPoint(&rng, dim_);
       auto got = index_->TopKSearch(query.data(), k, ef);
-      auto want = brute_->TopKSearch(query.data(), k);
+      auto want = exact_->BruteForceSearch(query.data(), k);
       std::set<uint64_t> want_ids;
       for (const auto& h : want) want_ids.insert(h.label);
       size_t hit = 0;
@@ -62,7 +62,7 @@ class HnswFixture : public ::testing::Test {
 
   size_t dim_ = 0;
   std::unique_ptr<HnswIndex> index_;
-  std::unique_ptr<BruteForceSearcher> brute_;
+  std::unique_ptr<FlatIndex> exact_;
   std::vector<std::vector<float>> data_;
 };
 
@@ -134,7 +134,7 @@ TEST_F(HnswFixture, FilteredSearchMatchesFilteredBruteForce) {
   Rng rng(33);
   auto q = RandomPoint(&rng, 8);
   auto got = index_->TopKSearch(q.data(), 5, 400, fv);
-  auto want = brute_->TopKSearch(q.data(), 5, fv);
+  auto want = exact_->BruteForceSearch(q.data(), 5, fv);
   ASSERT_FALSE(want.empty());
   // With a huge ef relative to index size, filtered recall should be high.
   std::set<uint64_t> want_ids;
@@ -196,10 +196,10 @@ TEST_F(HnswFixture, RangeSearchMatchesBruteForce) {
   Rng rng(34);
   auto q = RandomPoint(&rng, 8);
   // Pick a threshold that captures a moderate number of points.
-  auto nearest = brute_->TopKSearch(q.data(), 30);
+  auto nearest = exact_->BruteForceSearch(q.data(), 30);
   const float threshold = nearest[20].distance;
   auto got = index_->RangeSearch(q.data(), threshold, 8, 256);
-  auto want = brute_->RangeSearch(q.data(), threshold);
+  auto want = exact_->RangeSearch(q.data(), threshold, 1, 0);
   // Approximate: allow missing at most a couple of boundary points.
   EXPECT_GE(got.size() + 2, want.size());
   for (const auto& h : got) EXPECT_LT(h.distance, threshold);
@@ -212,20 +212,6 @@ TEST_F(HnswFixture, CapacityExceededFails) {
   EXPECT_TRUE(index.AddPoint(0, v.data()).ok());
   EXPECT_TRUE(index.AddPoint(1, v.data()).ok());
   EXPECT_EQ(index.AddPoint(2, v.data()).code(), StatusCode::kOutOfRange);
-}
-
-TEST_F(HnswFixture, StatsAccumulate) {
-  Build(200, 8);
-  index_->ResetStats();
-  Rng rng(35);
-  auto q = RandomPoint(&rng, 8);
-  index_->TopKSearch(q.data(), 5, 32);
-  HnswStats stats = index_->stats();
-  EXPECT_EQ(stats.searches, 1u);
-  EXPECT_GT(stats.distance_computations, 0u);
-  EXPECT_GT(stats.hops, 0u);
-  index_->ResetStats();
-  EXPECT_EQ(index_->stats().searches, 0u);
 }
 
 TEST_F(HnswFixture, SaveLoadRoundTrip) {
@@ -294,11 +280,11 @@ TEST_F(HnswFixture, UpdateItemsPerLabelOrderPreserved) {
 TEST_F(HnswFixture, ParallelBuildProducesSearchableIndex) {
   const size_t n = 1000, dim = 16;
   HnswIndex index(SmallParams(dim, n));
-  BruteForceSearcher brute(dim, Metric::kL2);
+  FlatIndex exact(dim, Metric::kL2);
   Rng rng(41);
   std::vector<std::vector<float>> data;
   for (size_t i = 0; i < n; ++i) data.push_back(RandomPoint(&rng, dim));
-  for (size_t i = 0; i < n; ++i) brute.Add(i, data[i].data());
+  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(exact.AddPoint(i, data[i].data()).ok());
   ThreadPool pool(4);
   std::atomic<int> failures{0};
   pool.ParallelFor(n, [&](size_t i) {
@@ -311,7 +297,7 @@ TEST_F(HnswFixture, ParallelBuildProducesSearchableIndex) {
   for (int q = 0; q < 10; ++q) {
     auto query = RandomPoint(&rng, dim);
     auto got = index.TopKSearch(query.data(), 10, 150);
-    auto want = brute.TopKSearch(query.data(), 10);
+    auto want = exact.BruteForceSearch(query.data(), 10);
     std::set<uint64_t> want_ids;
     for (const auto& h : want) want_ids.insert(h.label);
     size_t hit = 0;
@@ -360,17 +346,17 @@ class HnswEfSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(HnswEfSweep, RecallFloorPerEf) {
   static HnswIndex* index = nullptr;
-  static BruteForceSearcher* brute = nullptr;
+  static FlatIndex* exact = nullptr;
   static std::vector<std::vector<float>>* queries = nullptr;
   if (index == nullptr) {
     index = new HnswIndex(SmallParams(16, 3000));
-    brute = new BruteForceSearcher(16, Metric::kL2);
+    exact = new FlatIndex(16, Metric::kL2);
     queries = new std::vector<std::vector<float>>();
     Rng rng(61);
     for (size_t i = 0; i < 3000; ++i) {
       auto v = RandomPoint(&rng, 16);
       ASSERT_TRUE(index->AddPoint(i, v.data()).ok());
-      brute->Add(i, v.data());
+      ASSERT_TRUE(exact->AddPoint(i, v.data()).ok());
     }
     for (int q = 0; q < 15; ++q) queries->push_back(RandomPoint(&rng, 16));
   }
@@ -378,7 +364,7 @@ TEST_P(HnswEfSweep, RecallFloorPerEf) {
   double total = 0;
   for (const auto& q : *queries) {
     auto got = index->TopKSearch(q.data(), 10, ef);
-    auto want = brute->TopKSearch(q.data(), 10);
+    auto want = exact->BruteForceSearch(q.data(), 10);
     std::set<uint64_t> want_ids;
     for (const auto& h : want) want_ids.insert(h.label);
     size_t hit = 0;
@@ -395,51 +381,52 @@ TEST_P(HnswEfSweep, RecallFloorPerEf) {
 INSTANTIATE_TEST_SUITE_P(EfValues, HnswEfSweep,
                          ::testing::Values(16, 32, 64, 128, 200, 400));
 
-// ---------------- BruteForceSearcher ----------------
+// ---------------- Exact reference (FlatIndex) ----------------
+//
+// The recall tests above grade HNSW against FlatIndex, so its exactness is
+// checked here directly.
 
-TEST(BruteForceTest, ExactTopK) {
-  BruteForceSearcher brute(2, Metric::kL2);
+TEST(ExactReferenceTest, ExactTopK) {
+  FlatIndex flat(2, Metric::kL2);
   float points[][2] = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  for (uint64_t i = 0; i < 4; ++i) brute.Add(i, points[i]);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(flat.AddPoint(i, points[i]).ok());
   float q[2] = {0.1f, 0};
-  auto hits = brute.TopKSearch(q, 2);
+  auto hits = flat.BruteForceSearch(q, 2);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].label, 0u);
   EXPECT_EQ(hits[1].label, 1u);
 }
 
-TEST(BruteForceTest, RangeSearchThresholdStrict) {
-  BruteForceSearcher brute(1, Metric::kL2);
-  float v0 = 0, v1 = 1, v2 = 2;
-  brute.Add(0, &v0);
-  brute.Add(1, &v1);
-  brute.Add(2, &v2);
+TEST(ExactReferenceTest, RangeSearchThresholdStrict) {
+  FlatIndex flat(1, Metric::kL2);
+  float vals[] = {0, 1, 2};
+  for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(flat.AddPoint(i, &vals[i]).ok());
   float q = 0;
-  auto hits = brute.RangeSearch(&q, 1.0f);  // squared-L2 < 1
+  auto hits = flat.RangeSearch(&q, 1.0f, 1, 0);  // squared-L2 < 1
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].label, 0u);
 }
 
-TEST(BruteForceTest, FilterApplied) {
-  BruteForceSearcher brute(1, Metric::kL2);
+TEST(ExactReferenceTest, FilterApplied) {
+  FlatIndex flat(1, Metric::kL2);
   float vals[] = {0, 1, 2, 3};
-  for (uint64_t i = 0; i < 4; ++i) brute.Add(i, &vals[i]);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(flat.AddPoint(i, &vals[i]).ok());
   Bitmap bm(4);
   bm.Set(2);
   bm.Set(3);
   FilterView fv(&bm);
   float q = 0;
-  auto hits = brute.TopKSearch(&q, 1, fv);
+  auto hits = flat.BruteForceSearch(&q, 1, fv);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].label, 2u);
 }
 
-TEST(BruteForceTest, KLargerThanData) {
-  BruteForceSearcher brute(1, Metric::kL2);
+TEST(ExactReferenceTest, KLargerThanData) {
+  FlatIndex flat(1, Metric::kL2);
   float v = 5;
-  brute.Add(0, &v);
+  ASSERT_TRUE(flat.AddPoint(0, &v).ok());
   float q = 0;
-  EXPECT_EQ(brute.TopKSearch(&q, 10).size(), 1u);
+  EXPECT_EQ(flat.BruteForceSearch(&q, 10).size(), 1u);
 }
 
 }  // namespace

@@ -91,6 +91,8 @@ TEST(ObsHistogramTest, BucketBoundsArePowersOfTwoMicros) {
 
 // ---------------- Trace spans ----------------
 
+#if !defined(TIGERVECTOR_NO_METRICS)
+
 TEST(ObsTraceTest, SpanNestingDepthsAndNames) {
   obs::QueryTrace trace;
   {
@@ -110,6 +112,8 @@ TEST(ObsTraceTest, SpanNestingDepthsAndNames) {
   EXPECT_GE(spans[1].micros, spans[0].micros);
 }
 
+#endif  // !TIGERVECTOR_NO_METRICS
+
 TEST(ObsTraceTest, NoTraceNoRecording) {
   {
     TV_SPAN("dropped");
@@ -120,6 +124,8 @@ TEST(ObsTraceTest, NoTraceNoRecording) {
   }
   EXPECT_TRUE(trace.Spans().empty());
 }
+
+#if !defined(TIGERVECTOR_NO_METRICS)
 
 TEST(ObsTraceTest, CrossThreadActivationJoinsSameTrace) {
   obs::QueryTrace trace;
@@ -135,6 +141,8 @@ TEST(ObsTraceTest, CrossThreadActivationJoinsSameTrace) {
   EXPECT_EQ(trace.Spans().size(), 8u);
   EXPECT_GT(trace.StageMicros()["worker.stage"], 0.0);
 }
+
+#endif  // !TIGERVECTOR_NO_METRICS
 
 // ---------------- Exposition formats ----------------
 
@@ -303,11 +311,13 @@ TEST_F(ObsProfileFixture, ProfileTopKReportsHnswSearchTime) {
   ASSERT_EQ(result->prints.size(), 1u);
   EXPECT_EQ(result->prints[0].vertices.size(), 5u);
   EXPECT_TRUE(result->profiled);
-  EXPECT_GT(result->profile_stage_micros["hnsw.search"], 0.0);
-  EXPECT_GT(result->profile_stage_micros["query.execute"], 0.0);
   EXPECT_GT(result->profile_stage_micros["query.parse"], 0.0);
   EXPECT_GT(result->profile_counters["hnsw.distance_evals"], 0u);
+#if !defined(TIGERVECTOR_NO_METRICS)
+  EXPECT_GT(result->profile_stage_micros["hnsw.search"], 0.0);
+  EXPECT_GT(result->profile_stage_micros["query.execute"], 0.0);
   EXPECT_NE(result->profile.find("hnsw.search"), std::string::npos);
+#endif
 }
 
 TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
@@ -327,6 +337,8 @@ TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
   EXPECT_FALSE(plain->profiled);
   EXPECT_TRUE(plain->profile.empty());
 }
+
+#if !defined(TIGERVECTOR_NO_METRICS)
 
 TEST_F(ObsProfileFixture, GlobalRegistryCoversSubsystems) {
   QueryParams params;
@@ -348,6 +360,8 @@ TEST_F(ObsProfileFixture, GlobalRegistryCoversSubsystems) {
   EXPECT_NE(text.find("tv_wal_appends_total"), std::string::npos);
   EXPECT_NE(text.find("tv_graph_commits_total"), std::string::npos);
 }
+
+#endif  // !TIGERVECTOR_NO_METRICS
 
 }  // namespace
 }  // namespace tigervector

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "hnsw/flat_index.h"
 #include "hnsw/hnsw_index.h"
 #include "hnsw/ivf_index.h"
+#include "obs/trace.h"
 #include "simd/sq8.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
@@ -598,6 +600,19 @@ class QuantDatabaseFixture : public ::testing::Test {
     ASSERT_TRUE(db_->Vacuum().ok());
   }
 
+  // Runs one VectorSearch() under its own query trace and returns the
+  // counters it filed there (tier counts, cache outcome).
+  std::map<std::string, uint64_t> TracedSearch(
+      const std::vector<float>& q, size_t k, const Database::VectorSearchFnOptions& opts,
+      VertexSet* out = nullptr) {
+    obs::QueryTrace trace;
+    obs::ScopedTraceActivation activation(&trace);
+    auto result = db_->VectorSearch({{"Doc", "emb"}}, q, k, opts);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (out != nullptr && result.ok()) *out = *result;
+    return trace.Counters();
+  }
+
   std::unique_ptr<Database> db_;
   std::vector<VertexId> vids_;
 };
@@ -646,15 +661,13 @@ TEST(QuantGsql, QuantOptionParsesThroughGsql) {
 
 TEST_F(QuantDatabaseFixture, SearchUsesQuantAndReranks) {
   std::vector<float> q(8, 0.5f);
-  VectorSearchResult stats;
   Database::VectorSearchFnOptions opts;
-  opts.result_stats = &stats;
   opts.bypass_cache = true;
-  auto out = db_->VectorSearch({{"Doc", "emb"}}, q, 5, opts);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->size(), 5u);
-  EXPECT_GT(stats.quant_segments, 0u);
-  EXPECT_GE(stats.reranked, 5u);  // at least k candidates rescored
+  VertexSet out;
+  auto counters = TracedSearch(q, 5, opts, &out);
+  EXPECT_EQ(out.size(), 5u);
+  EXPECT_GT(counters["search.quant_segments"], 0u);
+  EXPECT_GE(counters["search.reranked"], 5u);  // at least k candidates rescored
 }
 
 TEST_F(QuantDatabaseFixture, QuantSearchMatchesExactTopKHere) {
@@ -678,25 +691,17 @@ TEST_F(QuantDatabaseFixture, QuantSearchMatchesExactTopKHere) {
 TEST_F(QuantDatabaseFixture, CacheMissThenHitPreservesQuantActuals) {
   std::vector<float> q(8, 1.5f);
   Database::VectorSearchFnOptions opts;
-  VectorSearchResult miss_stats, hit_stats;
-  cache::Outcome outcome = cache::Outcome::kBypass;
-  opts.cache_outcome = &outcome;
-
-  opts.result_stats = &miss_stats;
-  auto first = db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(outcome, cache::Outcome::kMiss);
-
-  opts.result_stats = &hit_stats;
-  auto second = db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(outcome, cache::Outcome::kHit);
-  EXPECT_EQ(*first, *second);
+  VertexSet first, second;
+  auto miss = TracedSearch(q, 4, opts, &first);
+  EXPECT_EQ(miss["cache.topk_miss"], 1u);
+  auto hit = TracedSearch(q, 4, opts, &second);
+  EXPECT_EQ(hit["cache.topk_hit"], 1u);
+  EXPECT_EQ(first, second);
   // The hit path reports the quant stats of the run that populated the
   // entry — EXPLAIN ANALYZE on a warm cache stays faithful.
-  EXPECT_EQ(hit_stats.quant_segments, miss_stats.quant_segments);
-  EXPECT_EQ(hit_stats.reranked, miss_stats.reranked);
-  EXPECT_GT(hit_stats.quant_segments, 0u);
+  EXPECT_EQ(hit["search.quant_segments"], miss["search.quant_segments"]);
+  EXPECT_EQ(hit["search.reranked"], miss["search.reranked"]);
+  EXPECT_GT(hit["search.quant_segments"], 0u);
 }
 
 TEST_F(QuantDatabaseFixture, RerankFactorIsolatesCacheEntries) {
@@ -705,21 +710,14 @@ TEST_F(QuantDatabaseFixture, RerankFactorIsolatesCacheEntries) {
   // factor is a MISS, and each factor then hits its own entry.
   std::vector<float> q(8, -2.0f);
   Database::VectorSearchFnOptions opts;
-  cache::Outcome outcome = cache::Outcome::kBypass;
-  opts.cache_outcome = &outcome;
-
   opts.rerank_factor = 2;
-  ASSERT_TRUE(db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts).ok());
-  EXPECT_EQ(outcome, cache::Outcome::kMiss);
+  EXPECT_EQ(TracedSearch(q, 4, opts)["cache.topk_miss"], 1u);
   opts.rerank_factor = 5;
-  ASSERT_TRUE(db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts).ok());
-  EXPECT_EQ(outcome, cache::Outcome::kMiss);
+  EXPECT_EQ(TracedSearch(q, 4, opts)["cache.topk_miss"], 1u);
   opts.rerank_factor = 2;
-  ASSERT_TRUE(db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts).ok());
-  EXPECT_EQ(outcome, cache::Outcome::kHit);
+  EXPECT_EQ(TracedSearch(q, 4, opts)["cache.topk_hit"], 1u);
   opts.rerank_factor = 5;
-  ASSERT_TRUE(db_->VectorSearch({{"Doc", "emb"}}, q, 4, opts).ok());
-  EXPECT_EQ(outcome, cache::Outcome::kHit);
+  EXPECT_EQ(TracedSearch(q, 4, opts)["cache.topk_hit"], 1u);
 }
 
 TEST_F(QuantDatabaseFixture, RangeSearchStaysExact) {

@@ -444,6 +444,34 @@ TEST_F(QuerySessionFixture, PrintUnknownNameFails) {
   ASSERT_FALSE(result.ok());
 }
 
+// @@<var>_dist always belongs to the latest assignment of <var>: a vector
+// SELECT replaces it even when it finds nothing, and any other SELECT into
+// the variable drops it, so a stale map can never be printed.
+TEST_F(QuerySessionFixture, ReassignedSelectReplacesOrDropsDistanceMap) {
+  const std::string topk =
+      "R = SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 2;"
+      " PRINT @@R_dist;";
+  auto filled = session_->Run(topk, Params({21, 0, 0, 0}));
+  ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  ASSERT_EQ(filled->prints.size(), 1u);
+  EXPECT_EQ(filled->prints[0].distances.size(), 2u);
+
+  auto empty = session_->Run(
+      "R = SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 1.0;"
+      " PRINT R; PRINT @@R_dist;",
+      Params({1000, 0, 0, 0}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_EQ(empty->prints.size(), 2u);
+  EXPECT_TRUE(empty->prints[0].vertices.empty());
+  EXPECT_TRUE(empty->prints[1].is_distance_map);
+  EXPECT_TRUE(empty->prints[1].distances.empty());
+
+  ASSERT_TRUE(session_->Run(topk, Params({21, 0, 0, 0})).ok());
+  auto plain = session_->Run(
+      "R = SELECT s FROM (s:Post) WHERE s.language = \"English\"; PRINT @@R_dist;");
+  EXPECT_FALSE(plain.ok());
+}
+
 TEST_F(QuerySessionFixture, PlainGraphSelect) {
   auto result = session_->Run(
       "Friends = SELECT p FROM (s:Person) -[:knows]- (p:Person)"
