@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
+#include "hnsw/exact_scan.h"
 #include "hnsw/flat_index.h"
 #include "hnsw/ivf_index.h"
 #include "obs/metrics.h"
@@ -12,7 +14,6 @@
 #include "util/io.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -327,9 +328,9 @@ bool EmbeddingSegment::OverriddenLocked(VertexId id, Tid read_tid) const {
   return it != pending_.first_pending_tid.end() && it->second <= read_tid;
 }
 
-std::unordered_map<VertexId, const VectorDelta*> EmbeddingSegment::VisiblePendingLocked(
+EmbeddingSegment::PendingView EmbeddingSegment::VisiblePendingLocked(
     Tid read_tid) const {
-  std::unordered_map<VertexId, const VectorDelta*> latest;
+  PendingView latest;
   for (const DeltaFile& f : pending_.sealed) {
     for (const VectorDelta& d : f.deltas) {
       if (d.tid <= read_tid) latest[d.id] = &d;
@@ -358,9 +359,7 @@ namespace {
 // Trampoline context combining the user filter with the pending-override
 // check, handed to the HNSW index as its validity predicate.
 struct CompositeFilterCtx {
-  const EmbeddingSegment* segment;
   const FilterView* user_filter;
-  Tid read_tid;
   // Set of overridden ids, precomputed under the segment lock so the
   // predicate itself is lock-free.
   const std::unordered_map<VertexId, const VectorDelta*>* overrides;
@@ -374,64 +373,61 @@ bool CompositeAccepts(const void* raw_ctx, uint64_t id) {
 
 }  // namespace
 
+bool EmbeddingSegment::UseBruteForce(const SearchOptions& options) const {
+  if (options.bruteforce_threshold == 0 || options.filter.bitmap() == nullptr) {
+    return false;
+  }
+  return options.filter.bitmap()->CountRange(base_vid_, base_vid_ + capacity_) <
+         options.bruteforce_threshold;
+}
+
+void EmbeddingSegment::OverlayDeltasLocked(const float* query,
+                                           const PendingView& overrides,
+                                           const FilterView& filter, size_t k,
+                                           float max_distance,
+                                           SearchOutput* out) const {
+  const ScanQuery q{info_.metric, info_.dimension, query};
+  ScanCounts counts;
+  const std::vector<SearchHit> delta_hits =
+      ExactScan(q, k, max_distance, filter, &counts, [&](auto&& emit) {
+        for (const auto& [id, delta] : overrides) {
+          if (delta->action != VectorDelta::Action::kUpsert) continue;
+          if (!emit(id, delta->value.data(), nullptr, 0)) return;
+        }
+      });
+  out->delta_candidates = counts.scored;
+  // The composite filter kept overridden ids out of the index hits, so the
+  // two lists are disjoint.
+  out->hits.insert(out->hits.end(), delta_hits.begin(), delta_hits.end());
+  std::sort(out->hits.begin(), out->hits.end(),
+            [](const SearchHit& a, const SearchHit& b) {
+              return a.distance != b.distance ? a.distance < b.distance
+                                              : a.label < b.label;
+            });
+  if (out->hits.size() > k) out->hits.resize(k);
+}
+
 EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
     const float* query, const SearchOptions& options) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   SearchOutput out;
-  const auto overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{this, &options.filter, options.read_tid, &overrides};
+  const PendingView overrides = VisiblePendingLocked(options.read_tid);
+  CompositeFilterCtx ctx{&options.filter, &overrides};
   FilterView composite(&CompositeAccepts, &ctx);
-
-  // Brute-force fallback: when the predicate bitmap leaves too few valid
-  // points in this segment's id range, a direct scan beats the index
-  // (paper Sec. 5.1).
-  bool bruteforce = false;
-  if (options.bruteforce_threshold > 0 && options.filter.bitmap() != nullptr) {
-    const size_t valid = options.filter.bitmap()->CountRange(
-        base_vid_, base_vid_ + capacity_);
-    bruteforce = valid < options.bruteforce_threshold;
-  }
-  // Per-query quantization scope: lets the index rank on SQ8 codes (when a
-  // trained tier exists) with this query's rerank factor, and reports back
-  // how many candidates the index actually reranked.
-  std::vector<SearchHit> index_hits;
+  out.used_bruteforce = UseBruteForce(options);
   {
+    // Per-query quantization scope: lets the index rank on SQ8 codes (when
+    // a trained tier exists) with this query's rerank factor, and reports
+    // back how many candidates the index actually reranked.
     simd::ScopedQuantQuery quant_scope(true, options.rerank_factor);
-    index_hits = bruteforce
-                     ? index_->BruteForceSearch(query, options.k, composite)
-                     : index_->TopKSearch(query, options.k, options.ef, composite);
+    out.hits = out.used_bruteforce
+                   ? index_->BruteForceSearch(query, options.k, composite)
+                   : index_->TopKSearch(query, options.k, options.ef, composite);
     out.used_quant = quant_scope.quant_scans() > 0;
     out.reranked = quant_scope.reranked();
   }
-  out.used_bruteforce = bruteforce;
-
-  TopKHeap<VertexId> heap(options.k);
-  for (const SearchHit& h : index_hits) heap.Push(h.distance, h.label);
-  // Delta overlay: gather the visible upserts and score them through the
-  // batched kernel rather than one pair call per delta.
-  std::vector<const float*> delta_rows;
-  std::vector<VertexId> delta_ids;
-  delta_rows.reserve(overrides.size());
-  delta_ids.reserve(overrides.size());
-  for (const auto& [id, delta] : overrides) {
-    if (delta->action != VectorDelta::Action::kUpsert) continue;
-    if (!options.filter.Accepts(id)) continue;
-    ++out.delta_candidates;
-    delta_rows.push_back(delta->value.data());
-    delta_ids.push_back(id);
-  }
-  if (!delta_rows.empty()) {
-    std::vector<float> delta_dists(delta_rows.size());
-    ComputeDistanceBatchGather(info_.metric, query, delta_rows.data(),
-                               info_.dimension, delta_rows.size(),
-                               delta_dists.data());
-    for (size_t i = 0; i < delta_ids.size(); ++i) {
-      heap.Push(delta_dists[i], delta_ids[i]);
-    }
-  }
-  for (const auto& e : heap.TakeSorted()) {
-    out.hits.push_back(SearchHit{e.distance, e.id});
-  }
+  OverlayDeltasLocked(query, overrides, options.filter, options.k,
+                      std::numeric_limits<float>::infinity(), &out);
   return out;
 }
 
@@ -439,65 +435,20 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
     const float* query, float threshold, const SearchOptions& options) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   SearchOutput out;
-  const auto overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{this, &options.filter, options.read_tid, &overrides};
+  const PendingView overrides = VisiblePendingLocked(options.read_tid);
+  CompositeFilterCtx ctx{&options.filter, &overrides};
   FilterView composite(&CompositeAccepts, &ctx);
-
-  // Brute-force fallback, mirroring TopKSearch: with few filter-accepted
-  // points in this segment's range an exact scan is cheaper than the
-  // adaptive index walk — and makes the range answer exact, which the
-  // differential test harness relies on for its strict oracle tier.
-  bool bruteforce = false;
-  if (options.bruteforce_threshold > 0 && options.filter.bitmap() != nullptr) {
-    const size_t valid = options.filter.bitmap()->CountRange(
-        base_vid_, base_vid_ + capacity_);
-    bruteforce = valid < options.bruteforce_threshold;
-  }
-  // Range answers stay exact: disable quantized scans for the whole call
-  // (the index's own RangeSearch also pins this, but the brute-force tier
-  // here would otherwise approximate).
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  if (bruteforce) {
-    for (const SearchHit& h :
-         index_->BruteForceSearch(query, index_->size(), composite)) {
-      if (h.distance < threshold) out.hits.push_back(h);
-    }
-    out.used_bruteforce = true;
-  } else {
-    out.hits = index_->RangeSearch(query, threshold, std::max<size_t>(options.k, 16),
-                                   options.ef, composite);
-  }
-  // Delta overlay, batched (and threshold-fused: the kernel's return value
-  // tells us when no delta row survives without a second pass).
-  std::vector<const float*> delta_rows;
-  std::vector<VertexId> delta_ids;
-  delta_rows.reserve(overrides.size());
-  delta_ids.reserve(overrides.size());
-  for (const auto& [id, delta] : overrides) {
-    if (delta->action != VectorDelta::Action::kUpsert) continue;
-    if (!options.filter.Accepts(id)) continue;
-    ++out.delta_candidates;
-    delta_rows.push_back(delta->value.data());
-    delta_ids.push_back(id);
-  }
-  if (!delta_rows.empty()) {
-    std::vector<float> delta_dists(delta_rows.size());
-    const size_t below = ComputeDistanceBatchGather(
-        info_.metric, query, delta_rows.data(), info_.dimension,
-        delta_rows.size(), delta_dists.data(), threshold);
-    if (below > 0) {
-      for (size_t i = 0; i < delta_ids.size(); ++i) {
-        if (delta_dists[i] < threshold) {
-          out.hits.push_back(SearchHit{delta_dists[i], delta_ids[i]});
-        }
-      }
-    }
-  }
-  std::sort(out.hits.begin(), out.hits.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
+  // Range answers stay exact: the brute-force tier is an exact fp32 range
+  // scan, which the differential harness relies on for its strict oracle
+  // tier, and the index's RangeSearch pins fp32 itself.
+  constexpr size_t kAll = std::numeric_limits<size_t>::max();
+  out.used_bruteforce = UseBruteForce(options);
+  out.hits = out.used_bruteforce
+                 ? index_->BruteForceSearch(query, kAll, composite, threshold)
+                 : index_->RangeSearch(query, threshold,
+                                       std::max<size_t>(options.k, 16), options.ef,
+                                       composite);
+  OverlayDeltasLocked(query, overrides, options.filter, kAll, threshold, &out);
   return out;
 }
 

@@ -159,13 +159,29 @@ class EmbeddingSegment {
     std::unordered_map<VertexId, Tid> first_pending_tid;
   };
 
+  // Latest visible pending delta per id.
+  using PendingView = std::unordered_map<VertexId, const VectorDelta*>;
+
   // True when the index entry for `id` is superseded by a pending delta
   // visible at read_tid.
   bool OverriddenLocked(VertexId id, Tid read_tid) const;
 
-  // Latest visible pending delta per id (delta-store scan).
-  std::unordered_map<VertexId, const VectorDelta*> VisiblePendingLocked(
-      Tid read_tid) const;
+  // Delta-store scan producing the PendingView at read_tid.
+  PendingView VisiblePendingLocked(Tid read_tid) const;
+
+  // Search tier: when the filter bitmap leaves fewer than
+  // bruteforce_threshold valid points in this segment's id range, an exact
+  // scan beats the index (paper Sec. 5.1).
+  bool UseBruteForce(const SearchOptions& options) const;
+
+  // Delta overlay (paper Sec. 4.3: index results combine with a brute-force
+  // scan over pending deltas). Scans the visible upserts accepted by
+  // `filter` with the same exact scan as the brute-force tier, merges them
+  // into out->hits (the index hits), and keeps the k nearest with distance
+  // < max_distance, sorted by (distance, label).
+  void OverlayDeltasLocked(const float* query, const PendingView& overrides,
+                           const FilterView& filter, size_t k, float max_distance,
+                           SearchOutput* out) const;
 
   void RebuildFirstPendingLocked();
 

@@ -1,23 +1,13 @@
 #include "hnsw/flat_index.h"
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <mutex>
 
+#include "hnsw/exact_scan.h"
 #include "obs/metrics.h"
-#include "util/cancel.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
-
-namespace {
-// Rows accepted by the filter are gathered into fixed-size chunks and
-// handed to the batched kernel in one call: the metric dispatch resolves
-// once per chunk and upcoming rows are prefetched while the current one is
-// being reduced.
-constexpr size_t kScanBatch = 128;
-}  // namespace
 
 Status FlatIndex::AddPoint(uint64_t label, const float* vec) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -74,6 +64,11 @@ Status FlatIndex::TrainQuantization() {
 bool FlatIndex::quant_active() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return quant_trained_;
+}
+
+simd::Sq8Params FlatIndex::quant_params() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return quant_trained_ ? qparams_ : simd::Sq8Params();
 }
 
 Status FlatIndex::UpdateItems(const std::vector<VectorIndexUpdate>& items,
@@ -135,118 +130,25 @@ std::vector<SearchHit> FlatIndex::RangeSearch(const float* query, float threshol
                                               const FilterView& filter) const {
   (void)initial_k;
   (void)ef;
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<SearchHit> out;
-  const float* rows[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    if (ComputeDistanceBatchGather(metric_, query, rows, dim_, n, dists,
-                                   threshold) > 0) {
-      for (size_t j = 0; j < n; ++j) {
-        if (dists[j] < threshold) out.push_back(SearchHit{dists[j], row_labels[j]});
-      }
-    }
-    n = 0;
-  };
-  for (size_t row = 0; row < order_.size(); ++row) {
-    const uint64_t label = order_[row];
-    auto it = slots_.find(label);
-    if (it->second.deleted || !filter.Accepts(label)) continue;
-    rows[n] = data_.data() + it->second.offset;
-    row_labels[n] = label;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  std::sort(out.begin(), out.end(), [](const SearchHit& a, const SearchHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.label < b.label;
-  });
-  return out;
+  return BruteForceSearch(query, std::numeric_limits<size_t>::max(), filter, threshold);
 }
 
 std::vector<SearchHit> FlatIndex::BruteForceSearch(const float* query, size_t k,
-                                                   const FilterView& filter) const {
+                                                   const FilterView& filter,
+                                                   float max_distance) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // Quantized scan: rank every row on int8 codes into a rerank_factor*k
-  // heap, then rescore the survivors with exact fp32 below.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(dim_);
-    simd::Sq8Encode(qparams_, query, dim_, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), dim_);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(metric_, qcode.data(), qnorm, qparams_.scale,
-                                   crows, cnorms, dim_, n, dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(metric_, query, rows, dim_, n, dists, threshold);
+  const ScanQuery q{metric_, dim_, query, quant_trained_ ? &qparams_ : nullptr};
+  return ExactScan(q, k, max_distance, filter, nullptr, [&](auto&& emit) {
+    for (size_t row = 0; row < order_.size(); ++row) {
+      const Slot& slot = slots_.find(order_[row])->second;
+      if (slot.deleted) continue;
+      const int8_t* code = quant_trained_ ? codes_.data() + slot.offset : nullptr;
+      if (!emit(order_[row], data_.data() + slot.offset, code,
+                quant_trained_ ? norms_[row] : 0)) {
+        return;
+      }
     }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
-  for (size_t row = 0; row < order_.size(); ++row) {
-    // Request deadline check; the partial heap is discarded by the caller.
-    if ((row & (kCancelCheckInterval - 1)) == 0 && CancelCheckExpired()) break;
-    const uint64_t label = order_[row];
-    auto it = slots_.find(label);
-    if (it->second.deleted || !filter.Accepts(label)) continue;
-    if (use_quant) {
-      crows[n] = codes_.data() + it->second.offset;
-      cnorms[n] = norms_[it->second.offset / dim_];
-    } else {
-      rows[n] = data_.data() + it->second.offset;
-    }
-    row_labels[n] = label;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  // Rerank the approx-ranked survivors with exact fp32 distances.
-  const auto approx = heap.TakeSorted();
-  std::vector<SearchHit> reranked;
-  reranked.reserve(approx.size());
-  for (size_t j0 = 0; j0 < approx.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, approx.size() - j0);
-    for (size_t j = 0; j < bn; ++j) {
-      rows[j] = data_.data() + slots_.find(approx[j0 + j].id)->second.offset;
-    }
-    ComputeDistanceBatchGather(metric_, query, rows, dim_, bn, dists);
-    for (size_t j = 0; j < bn; ++j) {
-      reranked.push_back(SearchHit{dists[j], approx[j0 + j].id});
-    }
-  }
-  simd::NoteQuantScan(approx.size());
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+  });
 }
 
 size_t FlatIndex::size() const {

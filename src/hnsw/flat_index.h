@@ -37,7 +37,8 @@ class FlatIndex : public VectorIndex {
                                      size_t initial_k, size_t ef,
                                      const FilterView& filter) const override;
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
-                                          const FilterView& filter) const override;
+                                          const FilterView& filter,
+                                          float max_distance) const override;
 
   size_t size() const override;
   size_t dim() const override { return dim_; }
@@ -49,6 +50,8 @@ class FlatIndex : public VectorIndex {
   // the index's exclusive lock, so unlike HNSW there are no racy encodes.
   Status TrainQuantization() override;
   bool quant_active() const override;
+  // The trained quantizer; invalid until TrainQuantization succeeds.
+  simd::Sq8Params quant_params() const;
 
  private:
   struct Slot {

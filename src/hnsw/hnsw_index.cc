@@ -8,13 +8,13 @@
 #include <queue>
 #include <utility>
 
+#include "hnsw/exact_scan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -88,9 +88,6 @@ thread_local uint64_t tl_hops = 0;
 
 inline void CountDistComps(uint64_t n) { tl_dist_evals += n; }
 inline void CountHop() { ++tl_hops; }
-
-// Fixed chunk size for gathered batch scans.
-constexpr size_t kScanBatch = 128;
 
 // Flushes and zeroes the tally on exit. Zeroing makes nested scopes
 // (UpdateItems -> AddPoint) count each event once.
@@ -677,40 +674,22 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
     curr = GreedySearchLayer(query, curr, level);
   }
 
-  if (!use_quant) {
-    std::vector<Candidate> cands = SearchLayer(query, curr, ef, 0);
-    out.reserve(std::min(k, cands.size()));
-    for (const Candidate& c : cands) {
-      uint64_t label;
-      {
-        std::lock_guard<std::mutex> lock(node_locks_[c.id]);
-        const Node& node = nodes_[c.id];
-        if (node.deleted) continue;
-        label = node.label;
-      }
-      if (!filter.Accepts(label)) continue;
-      out.push_back(SearchHit{c.distance, label});
-      if (out.size() >= k) break;
-    }
-    return out;
-  }
-
   // Quantized search: widen the beam to at least the rerank budget, rank it
   // on int8 codes, then rescore the best rerank_factor*k surviving
   // candidates with exact fp32 — reported distances are always exact.
-  const size_t budget =
-      std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k;
-  std::vector<int8_t> qcode(params_.dim);
-  simd::Sq8Encode(tier->params, query, params_.dim, qcode.data());
-  const Sq8View qv{tier.get(), qcode.data(),
-                   simd::Sq8CodeNorm(qcode.data(), params_.dim),
-                   tier->encoded.load(std::memory_order_acquire)};
+  size_t budget = k;
+  std::vector<int8_t> qcode;
+  Sq8View qv{};
+  if (use_quant) {
+    budget = std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k;
+    qcode.resize(params_.dim);
+    simd::Sq8Encode(tier->params, query, params_.dim, qcode.data());
+    qv = Sq8View{tier.get(), qcode.data(), simd::Sq8CodeNorm(qcode.data(), params_.dim),
+                 tier->encoded.load(std::memory_order_acquire)};
+  }
   std::vector<Candidate> cands =
-      SearchLayer(query, curr, std::max(ef, budget), 0, &qv);
-  std::vector<uint32_t> rids;
-  std::vector<uint64_t> rlabels;
-  rids.reserve(std::min(budget, cands.size()));
-  rlabels.reserve(std::min(budget, cands.size()));
+      SearchLayer(query, curr, std::max(ef, budget), 0, use_quant ? &qv : nullptr);
+  std::vector<ScanRow> survivors;
   for (const Candidate& c : cands) {
     uint64_t label;
     {
@@ -720,57 +699,20 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
       label = node.label;
     }
     if (!filter.Accepts(label)) continue;
-    rids.push_back(c.id);
-    rlabels.push_back(label);
-    if (rids.size() >= budget) break;
+    out.push_back(SearchHit{c.distance, label});
+    if (use_quant) survivors.push_back(ScanRow{label, DataAt(c.id)});
+    if (out.size() >= budget) break;
   }
-  std::vector<float> exact(rids.size());
-  for (size_t j0 = 0; j0 < rids.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, rids.size() - j0);
-    ScoreBatchGather(query, nullptr, rids.data() + j0, bn, exact.data() + j0,
-                     std::numeric_limits<float>::infinity());
-  }
-  simd::NoteQuantScan(rids.size());
-  std::vector<SearchHit> reranked;
-  reranked.reserve(rids.size());
-  for (size_t j = 0; j < rids.size(); ++j) {
-    reranked.push_back(SearchHit{exact[j], rlabels[j]});
-  }
-  std::sort(reranked.begin(), reranked.end(), [](const SearchHit& a, const SearchHit& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.label < b.label;
-  });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
-}
-
-std::vector<SearchHit> HnswIndex::RangeSearch(const float* query, float threshold,
-                                              size_t initial_k, size_t ef,
-                                              const FilterView& filter) const {
-  // Range answers must stay exact in both engine tiers (the differential
-  // harness and the expanding-k median test both depend on true distances),
-  // so range search always runs on fp32 regardless of the quant tier.
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  size_t k = std::max<size_t>(1, initial_k);
-  const size_t total = NodeCount();
-  std::vector<SearchHit> hits;
-  for (;;) {
-    hits = TopKSearch(query, k, std::max(ef, k), filter);
-    if (CancelCheckExpired()) break;  // caller discards via its own check
-    if (hits.size() < k) break;  // exhausted all valid points
-    const float median = hits[hits.size() / 2].distance;
-    if (threshold < median) break;
-    if (k >= total) break;
-    k = std::min(total, k * 2);
-  }
-  std::vector<SearchHit> out;
-  for (const SearchHit& h : hits) {
-    if (h.distance < threshold) out.push_back(h);
-  }
+  if (!use_quant) return out;
+  ScanCounts counts;
+  out = ExactRerank(ScanQuery{params_.metric, params_.dim, query}, k, survivors, &counts);
+  CountDistComps(counts.reranked);
   return out;
 }
 
 std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
-                                                   const FilterView& filter) const {
+                                                   const FilterView& filter,
+                                                   float max_distance) const {
   CostFlushScope cost_scope;
   const uint32_t count = NodeCount();
   std::shared_ptr<Sq8Tier> tier;
@@ -778,93 +720,32 @@ std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
     std::lock_guard<std::mutex> lock(global_mu_);
     tier = sq8_tier_;
   }
-  const bool use_quant =
-      tier != nullptr && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // With a quant tier the scan ranks on int8 codes into a rerank_factor*k
-  // heap, then rescores the survivors exactly; without one it is the exact
-  // fp32 scan.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  Sq8View qv{nullptr, nullptr, 0, 0};
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(tier->params, query, params_.dim, qcode.data());
-    qv = Sq8View{tier.get(), qcode.data(),
-                 simd::Sq8CodeNorm(qcode.data(), params_.dim),
-                 tier->encoded.load(std::memory_order_acquire)};
-  }
-  TopKHeap<uint32_t> top(heap_k);
-  uint32_t ids[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = top.full() ? top.WorstDistance()
-                                       : std::numeric_limits<float>::infinity();
-    ScoreBatchGather(query, use_quant ? &qv : nullptr, ids, n, dists, threshold);
-    for (size_t j = 0; j < n; ++j) {
-      if (!top.WouldReject(dists[j])) top.Push(dists[j], ids[j]);
-    }
-    n = 0;
-  };
-  for (uint32_t id = 0; id < count; ++id) {
-    // Exact scans honor the request deadline too: stop within one check
-    // interval and let the caller discard the partial heap.
-    if ((id & (kCancelCheckInterval - 1)) == 0 && CancelCheckExpired()) break;
-    uint64_t label;
-    {
-      std::lock_guard<std::mutex> lock(node_locks_[id]);
-      const Node& node = nodes_[id];
-      if (node.deleted) continue;
-      label = node.label;
-    }
-    if (!filter.Accepts(label)) continue;
-    ids[n] = id;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : top.TakeSorted()) {
-      uint64_t label;
-      {
-        std::lock_guard<std::mutex> lock(node_locks_[e.id]);
-        label = nodes_[e.id].label;
-      }
-      out.push_back(SearchHit{e.distance, label});
-    }
-    return out;
-  }
-  // Rerank: exact fp32 over the approx-ranked survivors, then the true top k.
-  const auto approx = top.TakeSorted();
-  std::vector<uint32_t> rids;
-  rids.reserve(approx.size());
-  for (const auto& e : approx) rids.push_back(e.id);
-  std::vector<float> exact(rids.size());
-  for (size_t j0 = 0; j0 < rids.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, rids.size() - j0);
-    ScoreBatchGather(query, nullptr, rids.data() + j0, bn, exact.data() + j0,
-                     std::numeric_limits<float>::infinity());
-  }
-  simd::NoteQuantScan(rids.size());
-  std::vector<SearchHit> reranked;
-  reranked.reserve(rids.size());
-  for (size_t j = 0; j < rids.size(); ++j) {
-    uint64_t label;
-    {
-      std::lock_guard<std::mutex> lock(node_locks_[rids[j]]);
-      label = nodes_[rids[j]].label;
-    }
-    reranked.push_back(SearchHit{exact[j], label});
-  }
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+  // Rows past the tier's encoded prefix (inserted after training) carry no
+  // code, so the scan scores them in exact fp32.
+  const uint32_t encoded =
+      tier != nullptr ? tier->encoded.load(std::memory_order_acquire) : 0;
+  const ScanQuery q{params_.metric, params_.dim, query,
+                    tier != nullptr ? &tier->params : nullptr};
+  ScanCounts counts;
+  std::vector<SearchHit> out =
+      ExactScan(q, k, max_distance, filter, &counts, [&](auto&& emit) {
+        for (uint32_t id = 0; id < count; ++id) {
+          uint64_t label;
+          {
+            std::lock_guard<std::mutex> lock(node_locks_[id]);
+            const Node& node = nodes_[id];
+            if (node.deleted) continue;
+            label = node.label;
+          }
+          const int8_t* code =
+              id < encoded ? tier->codes.data() + size_t{id} * params_.dim : nullptr;
+          if (!emit(label, DataAt(id), code, code != nullptr ? tier->norms[id] : 0)) {
+            return;
+          }
+        }
+      });
+  CountDistComps(counts.scored + counts.reranked);
+  return out;
 }
 
 Status HnswIndex::TrainQuantization() {
@@ -912,6 +793,11 @@ Status HnswIndex::TrainQuantization() {
 bool HnswIndex::quant_active() const {
   std::lock_guard<std::mutex> lock(global_mu_);
   return sq8_tier_ != nullptr;
+}
+
+simd::Sq8Params HnswIndex::quant_params() const {
+  std::lock_guard<std::mutex> lock(global_mu_);
+  return sq8_tier_ != nullptr ? sq8_tier_->params : simd::Sq8Params();
 }
 
 size_t HnswIndex::size() const { return live_count_.load(); }

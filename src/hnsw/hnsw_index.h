@@ -75,7 +75,6 @@ class HnswIndex : public VectorIndex {
   Status GetEmbedding(uint64_t label, float* out) const override;
 
   using VectorIndex::BruteForceSearch;
-  using VectorIndex::RangeSearch;
   using VectorIndex::TopKSearch;
 
   // Approximate k-nearest search. `ef` is the layer-0 beam width (must be
@@ -84,19 +83,12 @@ class HnswIndex : public VectorIndex {
   std::vector<SearchHit> TopKSearch(const float* query, size_t k, size_t ef,
                                     const FilterView& filter) const override;
 
-  // Returns all points with distance < threshold, following the DiskANN
-  // adaptation described in the paper (Sec. 4.4): repeat TopKSearch with
-  // doubled k until the threshold is smaller than the median returned
-  // distance (or the whole index is covered).
-  std::vector<SearchHit> RangeSearch(const float* query, float threshold,
-                                     size_t initial_k, size_t ef,
-                                     const FilterView& filter) const override;
-
   // Exact scan over live (and filter-accepted) points; used when the number
   // of valid candidates is below the brute-force threshold (paper Sec. 5.1)
   // and for ground truth in tests.
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
-                                          const FilterView& filter) const override;
+                                          const FilterView& filter,
+                                          float max_distance) const override;
 
   size_t size() const override;  // live (non-deleted) points
   size_t capacity() const { return params_.max_elements; }
@@ -111,6 +103,8 @@ class HnswIndex : public VectorIndex {
   // searches run; searches pick up the new tier on their next snapshot.
   Status TrainQuantization() override;
   bool quant_active() const override;
+  // The trained quantizer; invalid until TrainQuantization succeeds.
+  simd::Sq8Params quant_params() const;
 
   // Serialization (index snapshot files, paper Fig. 4).
   Status SaveToFile(const std::string& path) const;

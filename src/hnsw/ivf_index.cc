@@ -5,15 +5,10 @@
 #include <limits>
 #include <mutex>
 
+#include "hnsw/exact_scan.h"
 #include "obs/metrics.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
-
-namespace {
-// Scan batch size for the gathered distance kernel (see flat_index.cc).
-constexpr size_t kScanBatch = 128;
-}  // namespace
 
 IvfFlatIndex::IvfFlatIndex(const IvfParams& params)
     : params_(params), rng_(params.seed) {
@@ -98,6 +93,14 @@ void IvfFlatIndex::EncodeRecordLocked(size_t idx) {
   qnorms_[idx] = simd::Sq8CodeNorm(qcodes_[idx].data(), params_.dim);
 }
 
+template <typename Emit>
+bool IvfFlatIndex::EmitLocked(size_t idx, Emit& emit) const {
+  const Record& rec = records_[idx];
+  if (rec.deleted) return true;
+  if (!quant_trained_) return emit(rec.label, rec.value.data(), nullptr, 0);
+  return emit(rec.label, rec.value.data(), qcodes_[idx].data(), qnorms_[idx]);
+}
+
 Status IvfFlatIndex::AddPoint(uint64_t label, const float* vec) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = by_label_.find(label);
@@ -158,6 +161,11 @@ Status IvfFlatIndex::TrainQuantization() {
 bool IvfFlatIndex::quant_active() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return quant_trained_;
+}
+
+simd::Sq8Params IvfFlatIndex::quant_params() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return quant_trained_ ? qparams_ : simd::Sq8Params();
 }
 
 Status IvfFlatIndex::UpdateItems(const std::vector<VectorIndexUpdate>& items,
@@ -236,180 +244,29 @@ std::vector<SearchHit> IvfFlatIndex::TopKSearch(const float* query, size_t k,
   }
   std::sort(ranked.begin(), ranked.end());
   const size_t nprobe = NProbeFor(ef);
-
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // Quantized probe: rank the probed lists' rows on int8 codes into a
-  // rerank_factor*k heap, rescore the survivors exactly below.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(qparams_, query, params_.dim, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), params_.dim);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(params_.metric, qcode.data(), qnorm,
-                                   qparams_.scale, crows, cnorms, params_.dim, n,
-                                   dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
-                                 dists, threshold);
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
-  for (size_t p = 0; p < nprobe; ++p) {
-    for (size_t idx : lists_[ranked[p].second]) {
-      const Record& rec = records_[idx];
-      if (rec.deleted || !filter.Accepts(rec.label)) continue;
-      if (use_quant) {
-        crows[n] = qcodes_[idx].data();
-        cnorms[n] = qnorms_[idx];
-      } else {
-        rows[n] = rec.value.data();
-      }
-      row_labels[n] = rec.label;
-      if (++n == kScanBatch) flush();
-    }
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  return RerankLocked(query, k, heap.TakeSorted());
-}
-
-std::vector<SearchHit> IvfFlatIndex::RerankLocked(
-    const float* query, size_t k,
-    const std::vector<TopKHeap<uint64_t>::Entry>& approx) const {
-  const float* rows[kScanBatch];
-  float dists[kScanBatch];
-  std::vector<SearchHit> reranked;
-  reranked.reserve(approx.size());
-  for (size_t j0 = 0; j0 < approx.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, approx.size() - j0);
-    for (size_t j = 0; j < bn; ++j) {
-      rows[j] = records_[by_label_.find(approx[j0 + j].id)->second].value.data();
-    }
-    ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, bn, dists);
-    for (size_t j = 0; j < bn; ++j) {
-      reranked.push_back(SearchHit{dists[j], approx[j0 + j].id});
-    }
-  }
-  simd::NoteQuantScan(approx.size());
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
-}
-
-std::vector<SearchHit> IvfFlatIndex::RangeSearch(const float* query, float threshold,
-                                                 size_t initial_k, size_t ef,
-                                                 const FilterView& filter) const {
-  // Same expanding-k adaptation used for HNSW (paper Sec. 4.4). Range
-  // answers stay exact fp32 regardless of the quant tier (the differential
-  // harness and the median stop test both depend on true distances).
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  size_t k = std::max<size_t>(1, initial_k);
-  std::vector<SearchHit> hits;
-  size_t total;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    total = records_.size();
-  }
-  for (;;) {
-    hits = TopKSearch(query, k, std::max(ef, k), filter);
-    if (hits.size() < k) break;
-    const float median = hits[hits.size() / 2].distance;
-    if (threshold < median) break;
-    if (k >= total) break;
-    k = std::min(total, k * 2);
-  }
-  std::vector<SearchHit> out;
-  for (const SearchHit& h : hits) {
-    if (h.distance < threshold) out.push_back(h);
-  }
-  return out;
+  const ScanQuery q{params_.metric, params_.dim, query,
+                    quant_trained_ ? &qparams_ : nullptr};
+  return ExactScan(q, k, std::numeric_limits<float>::infinity(), filter, nullptr,
+                   [&](auto&& emit) {
+                     for (size_t p = 0; p < nprobe; ++p) {
+                       for (size_t idx : lists_[ranked[p].second]) {
+                         if (!EmitLocked(idx, emit)) return;
+                       }
+                     }
+                   });
 }
 
 std::vector<SearchHit> IvfFlatIndex::BruteForceSearch(const float* query, size_t k,
-                                                      const FilterView& filter) const {
+                                                      const FilterView& filter,
+                                                      float max_distance) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(qparams_, query, params_.dim, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), params_.dim);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(params_.metric, qcode.data(), qnorm,
-                                   qparams_.scale, crows, cnorms, params_.dim, n,
-                                   dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
-                                 dists, threshold);
+  const ScanQuery q{params_.metric, params_.dim, query,
+                    quant_trained_ ? &qparams_ : nullptr};
+  return ExactScan(q, k, max_distance, filter, nullptr, [&](auto&& emit) {
+    for (size_t idx = 0; idx < records_.size(); ++idx) {
+      if (!EmitLocked(idx, emit)) return;
     }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
-  for (size_t idx = 0; idx < records_.size(); ++idx) {
-    const Record& rec = records_[idx];
-    if (rec.deleted || !filter.Accepts(rec.label)) continue;
-    if (use_quant) {
-      crows[n] = qcodes_[idx].data();
-      cnorms[n] = qnorms_[idx];
-    } else {
-      rows[n] = rec.value.data();
-    }
-    row_labels[n] = rec.label;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  return RerankLocked(query, k, heap.TakeSorted());
+  });
 }
 
 size_t IvfFlatIndex::size() const {

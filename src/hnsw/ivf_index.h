@@ -5,10 +5,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hnsw/exact_scan.h"
 #include "hnsw/vector_index.h"
 #include "simd/sq8.h"
 #include "util/rng.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -41,16 +41,13 @@ class IvfFlatIndex : public VectorIndex {
   Status GetEmbedding(uint64_t label, float* out) const override;
 
   using VectorIndex::BruteForceSearch;
-  using VectorIndex::RangeSearch;
   using VectorIndex::TopKSearch;
 
   std::vector<SearchHit> TopKSearch(const float* query, size_t k, size_t ef,
                                     const FilterView& filter) const override;
-  std::vector<SearchHit> RangeSearch(const float* query, float threshold,
-                                     size_t initial_k, size_t ef,
-                                     const FilterView& filter) const override;
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
-                                          const FilterView& filter) const override;
+                                          const FilterView& filter,
+                                          float max_distance) const override;
 
   size_t size() const override;
   size_t dim() const override { return params_.dim; }
@@ -64,6 +61,8 @@ class IvfFlatIndex : public VectorIndex {
 
   Status TrainQuantization() override;
   bool quant_active() const override;
+  // The trained quantizer; invalid until TrainQuantization succeeds.
+  simd::Sq8Params quant_params() const;
 
  private:
   struct Record {
@@ -80,11 +79,10 @@ class IvfFlatIndex : public VectorIndex {
   // Requires exclusive mu_ and quant_trained_; refreshes record idx's codes.
   void EncodeRecordLocked(size_t idx);
 
-  // Requires shared mu_: exact fp32 rescore of an approx-ranked candidate
-  // set, sorted and truncated to the true top k.
-  std::vector<SearchHit> RerankLocked(
-      const float* query, size_t k,
-      const std::vector<TopKHeap<uint64_t>::Entry>& approx) const;
+  // Requires shared mu_: hands live record `idx` (fp32 row plus its SQ8
+  // code once trained) to an exact-scan emitter; false once the scan stops.
+  template <typename Emit>
+  bool EmitLocked(size_t idx, Emit& emit) const;
 
   IvfParams params_;
   mutable std::shared_mutex mu_;

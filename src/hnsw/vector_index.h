@@ -1,12 +1,16 @@
 #ifndef TIGERVECTOR_HNSW_VECTOR_INDEX_H_
 #define TIGERVECTOR_HNSW_VECTOR_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "simd/distance.h"
+#include "simd/sq8.h"
 #include "util/bitmap.h"
+#include "util/cancel.h"
 #include "util/status.h"
 
 namespace tigervector {
@@ -60,14 +64,46 @@ class VectorIndex {
   virtual std::vector<SearchHit> TopKSearch(const float* query, size_t k, size_t ef,
                                             const FilterView& filter) const = 0;
 
-  // All points with distance < threshold.
+  // All points with distance < threshold, sorted by (distance, label). The
+  // default is the DiskANN adaptation of paper Sec. 4.4: repeat TopKSearch
+  // with k doubling from initial_k until the threshold falls below the
+  // median returned distance or k covers every live point. It ranks on
+  // exact fp32 whatever the quantized tier, because the median stop test
+  // needs true distances, and checks the request deadline after each round.
+  // Exact indexes override it with one range scan.
   virtual std::vector<SearchHit> RangeSearch(const float* query, float threshold,
                                              size_t initial_k, size_t ef,
-                                             const FilterView& filter) const = 0;
+                                             const FilterView& filter) const {
+    simd::ScopedQuantQuery exact_scope(false, 0);
+    const size_t total = size();
+    size_t k = std::max<size_t>(1, initial_k);
+    std::vector<SearchHit> hits;
+    for (;;) {
+      hits = TopKSearch(query, k, std::max(ef, k), filter);
+      if (CancelCheckExpired()) break;  // the caller discards via its own check
+      if (hits.size() < k) break;       // exhausted all valid points
+      if (threshold < hits[hits.size() / 2].distance) break;
+      if (k >= total) break;
+      k = std::min(total, k * 2);
+    }
+    std::vector<SearchHit> out;
+    for (const SearchHit& h : hits) {
+      if (h.distance < threshold) out.push_back(h);
+    }
+    return out;
+  }
 
-  // Exact scan over live, filter-accepted points.
+  // Exact scan over live, filter-accepted points: the k nearest with
+  // distance < max_distance, sorted by (distance, label), so a tie goes to
+  // the lower label. A finite max_distance makes it an exact fp32 range
+  // scan. An unbounded scan on a trained quantized tier ranks on SQ8 codes
+  // and reranks the best rerank_factor*k in fp32. The request deadline is
+  // polled every kCancelCheckInterval rows; once it fires the scan stops
+  // and its partial result is for the caller to discard. Every index
+  // implements this through the one scan in hnsw/exact_scan.h.
   virtual std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
-                                                  const FilterView& filter) const = 0;
+                                                  const FilterView& filter,
+                                                  float max_distance) const = 0;
 
   virtual size_t size() const = 0;       // live points
   virtual size_t dim() const = 0;
@@ -92,6 +128,10 @@ class VectorIndex {
   std::vector<SearchHit> RangeSearch(const float* query, float threshold,
                                      size_t initial_k, size_t ef) const {
     return RangeSearch(query, threshold, initial_k, ef, FilterView());
+  }
+  std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
+                                          const FilterView& filter) const {
+    return BruteForceSearch(query, k, filter, std::numeric_limits<float>::infinity());
   }
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k) const {
     return BruteForceSearch(query, k, FilterView());

@@ -532,6 +532,61 @@ TEST_F(QuantRecallTest, FlatAndIvfIndexes) {
   EXPECT_GE(ivf_total / ds.num_queries, 0.90);
 }
 
+// One exact scan serves every index type, so SQ8 brute force does not
+// depend on the index: the same rows under the same trained quantizer give
+// the same ranked and reranked answer on HNSW, FLAT and IVF_FLAT.
+TEST_F(QuantRecallTest, BruteForceAgreesAcrossIndexTypes) {
+  VectorDataset ds = MakeSiftLike(600, 10, 38);
+  HnswParams hparams;
+  hparams.dim = ds.dim;
+  hparams.metric = ds.metric;
+  hparams.max_elements = ds.num_base;
+  hparams.sq8 = true;
+  HnswIndex hnsw(hparams);
+  FlatIndex flat(ds.dim, ds.metric, /*sq8=*/true);
+  IvfParams iparams;
+  iparams.dim = ds.dim;
+  iparams.metric = ds.metric;
+  iparams.nlist = 16;
+  iparams.sq8 = true;
+  IvfFlatIndex ivf(iparams);
+  const std::vector<VectorIndex*> indexes = {&hnsw, &flat, &ivf};
+  for (VectorIndex* index : indexes) {
+    for (size_t i = 0; i < ds.num_base; ++i) {
+      ASSERT_TRUE(index->AddPoint(i, ds.BaseVector(i)).ok());
+    }
+    ASSERT_TRUE(index->TrainQuantization().ok());
+  }
+  const simd::Sq8Params params = hnsw.quant_params();
+  ASSERT_TRUE(params.valid());
+  for (const simd::Sq8Params& other : {flat.quant_params(), ivf.quant_params()}) {
+    EXPECT_EQ(other.scale, params.scale);
+    EXPECT_EQ(other.min, params.min);
+    EXPECT_EQ(other.max, params.max);
+  }
+
+  const size_t k = 10;
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    std::vector<std::vector<SearchHit>> hits;
+    std::vector<uint64_t> reranked;
+    for (VectorIndex* index : indexes) {
+      simd::ScopedQuantQuery quant(true, 3);
+      hits.push_back(index->BruteForceSearch(ds.QueryVector(q), k));
+      reranked.push_back(quant.reranked());
+    }
+    EXPECT_EQ(reranked[0], 3 * k);
+    for (size_t i = 1; i < indexes.size(); ++i) {
+      SCOPED_TRACE(indexes[i]->index_type());
+      EXPECT_EQ(reranked[i], reranked[0]);
+      ASSERT_EQ(hits[i].size(), hits[0].size());
+      for (size_t j = 0; j < hits[0].size(); ++j) {
+        EXPECT_EQ(hits[i][j].label, hits[0][j].label);
+        EXPECT_EQ(hits[i][j].distance, hits[0][j].distance);
+      }
+    }
+  }
+}
+
 // Canary: rerank_factor=1 (no extra candidates, rescoring only) must not
 // beat the default budget — if it does, the rerank stage is not actually
 // widening the candidate set and the knob is dead.

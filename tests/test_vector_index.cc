@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 
@@ -7,6 +8,7 @@
 #include "hnsw/hnsw_index.h"
 #include "hnsw/ivf_index.h"
 #include "query/session.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace tigervector {
@@ -136,6 +138,40 @@ TEST_P(VectorIndexContract, LabelsMatchLiveSet) {
   ASSERT_TRUE(index->MarkDeleted(7).ok());
   auto labels = index->Labels();
   EXPECT_EQ(labels.size(), 49u);
+}
+
+// Exact scans break distance ties by label, like the segment merge and the
+// oracle: among equidistant points the lowest labels win.
+TEST_P(VectorIndexContract, BruteForceTiesGoToLowestLabels) {
+  auto index = MakeIndex(GetParam(), kDim, 16);
+  const std::vector<float> v(kDim, 1.0f);
+  for (uint64_t label = 10; label-- > 0;) {
+    ASSERT_TRUE(index->AddPoint(label, v.data()).ok());
+  }
+  auto hits = index->BruteForceSearch(v.data(), 3);
+  ASSERT_EQ(hits.size(), 3u);
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].label, i);
+}
+
+TEST_P(VectorIndexContract, BruteForceWithZeroKIsEmpty) {
+  auto index = MakeIndex(GetParam(), kDim, 300);
+  Fill(index.get(), 200);
+  EXPECT_TRUE(index->BruteForceSearch(data_[0].data(), 0).empty());
+}
+
+// Every exact scan honours the request deadline: under an already-fired
+// token a scan that would return every row stops within one check interval.
+TEST_P(VectorIndexContract, ExactScansStopAtFiredDeadline) {
+  constexpr size_t kRows = 1000;
+  auto index = MakeIndex(GetParam(), kDim, kRows);
+  Fill(index.get(), kRows);
+  CancelToken token;
+  token.SetDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ScopedCancel scope(&token);
+  EXPECT_LT(index->BruteForceSearch(data_[0].data(), kRows).size(), kRows);
+  // Squared L2 between rows of [0, 50)^kDim stays below kDim * 2500.
+  EXPECT_LT(index->RangeSearch(data_[0].data(), 1e9f, 16, 64).size(), kRows);
+  EXPECT_GT(token.checks(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Impls, VectorIndexContract,
