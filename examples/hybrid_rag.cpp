@@ -63,13 +63,15 @@ int main() {
   PrintSet(db, "1) pure vector search across Post+Comment", r1->prints[0].vertices);
 
   // --- Strategy 2: filtered vector search (language predicate). ---
-  auto r2 = session.Run(
+  const std::string filtered =
       "Hits = SELECT s FROM (s:Post) WHERE s.language = \"English\""
-      " ORDER BY VECTOR_DIST(s.content_emb, $topic) LIMIT 5; PRINT Hits;",
-      params);
+      " ORDER BY VECTOR_DIST(s.content_emb, $topic) LIMIT 5; PRINT Hits;";
+  auto r2 = session.Run(filtered, params);
   if (!r2.ok()) return 1;
   PrintSet(db, "\n2) filtered search: English posts only", r2->prints[0].vertices);
-  std::printf("plan:\n%s", r2->last_plan.c_str());
+  auto plan = session.Run("EXPLAIN " + filtered, params);
+  if (!plan.ok()) return 1;
+  std::printf("plan:\n%s", plan->explain.c_str());
 
   // --- Strategy 3: vector search on a graph pattern (friends' posts). ---
   auto r3 = session.Run(

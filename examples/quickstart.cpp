@@ -48,17 +48,20 @@ int main() {
   // 3. Declarative top-k search (paper Sec 5.1).
   QueryParams params;
   params["query_vector"] = std::vector<float>{0.5f, 0.5f, 0, 0};
-  auto result = session.Run(
+  const std::string query =
       "TopK = SELECT s FROM (s:Post)"
       " ORDER BY VECTOR_DIST(s.content_emb, $query_vector) LIMIT 2;"
-      "PRINT TopK;",
-      params);
+      "PRINT TopK;";
+  auto result = session.Run(query, params);
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
     return 1;
   }
 
-  std::printf("query plan:\n%s\n", result->last_plan.c_str());
+  // EXPLAIN plans the same script without running it.
+  auto plan = session.Run("EXPLAIN " + query, params);
+  if (!plan.ok()) return 1;
+  std::printf("query plan:\n%s\n", plan->explain.c_str());
   std::printf("top-2 posts for query [0.5, 0.5, 0, 0]:\n");
   const Tid tid = db.store()->visible_tid();
   for (VertexId vid : result->prints[0].vertices) {

@@ -269,7 +269,7 @@ Result<VectorSearchResult> EmbeddingService::RangeSearch(
 
 Status EmbeddingService::GetEmbedding(const std::string& vertex_type,
                                       const std::string& attr, VertexId vid,
-                                      float* out) const {
+                                      float* out, Tid read_tid) const {
   auto state = FindAttrState(vertex_type, attr);
   if (!state.ok()) return state.status();
   if (*state == nullptr) {
@@ -284,7 +284,8 @@ Status EmbeddingService::GetEmbedding(const std::string& vertex_type,
   }
   const EmbeddingSegment* segment = (*state)->segments[seg_id].get();
   lock.unlock();
-  return segment->GetEmbedding(vid, store_->visible_tid(), out);
+  return segment->GetEmbedding(
+      vid, read_tid != kMaxTid ? read_tid : store_->visible_tid(), out);
 }
 
 Result<size_t> EmbeddingService::RunDeltaMerge() {

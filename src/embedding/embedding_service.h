@@ -79,9 +79,9 @@ class EmbeddingService : public EmbeddingSink {
   Result<VectorSearchResult> RangeSearch(const VectorSearchRequest& request,
                                          float threshold) const;
 
-  // Latest visible embedding of a vertex.
+  // Embedding of a vertex as of `read_tid` (kMaxTid: the latest visible).
   Status GetEmbedding(const std::string& vertex_type, const std::string& attr,
-                      VertexId vid, float* out) const;
+                      VertexId vid, float* out, Tid read_tid = kMaxTid) const;
 
   // --- Vacuum (paper Sec. 4.3, Fig. 4) ---
   // Stage 1 on every segment: seal in-memory deltas (up to the currently

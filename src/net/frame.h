@@ -36,7 +36,7 @@ namespace tigervector::net {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x54565750;  // "TVWP"
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 32;
 // Upper bound on a single payload; a larger length field means a corrupt or
 // hostile header, not a real message.

@@ -181,7 +181,6 @@ std::string EncodeScriptResult(const ScriptResult& result) {
       w.PutF32(dist);
     }
   }
-  w.PutString(result.last_plan);
   w.PutU32(static_cast<uint32_t>(result.last_join_pairs.size()));
   for (const auto& pair : result.last_join_pairs) {
     w.PutU64(pair.source);
@@ -195,18 +194,6 @@ std::string EncodeScriptResult(const ScriptResult& result) {
   for (const auto& warning : result.last_load_report.warnings) {
     w.PutString(warning);
   }
-  w.PutU8(result.profiled ? 1 : 0);
-  w.PutU32(static_cast<uint32_t>(result.profile_stage_micros.size()));
-  for (const auto& [stage, micros] : result.profile_stage_micros) {
-    w.PutString(stage);
-    w.PutF64(micros);
-  }
-  w.PutU32(static_cast<uint32_t>(result.profile_counters.size()));
-  for (const auto& [counter, value] : result.profile_counters) {
-    w.PutString(counter);
-    w.PutU64(value);
-  }
-  w.PutString(result.profile);
   w.PutU8(result.explained ? 1 : 0);
   w.PutU8(result.analyzed ? 1 : 0);
   w.PutString(result.explain);
@@ -240,7 +227,6 @@ Status DecodeScriptResult(const std::string& payload, ScriptResult* out) {
       printed.distances[vid] = dist;
     }
   }
-  TV_RETURN_NOT_OK(r.GetString(&out->last_plan));
   uint32_t n_pairs;
   TV_RETURN_NOT_OK(r.GetU32(&n_pairs));
   out->last_join_pairs.resize(n_pairs);
@@ -263,27 +249,6 @@ Status DecodeScriptResult(const std::string& payload, ScriptResult* out) {
     TV_RETURN_NOT_OK(r.GetString(&warning));
   }
   uint8_t flag;
-  TV_RETURN_NOT_OK(r.GetU8(&flag));
-  out->profiled = flag != 0;
-  uint32_t n_stages;
-  TV_RETURN_NOT_OK(r.GetU32(&n_stages));
-  for (uint32_t i = 0; i < n_stages; ++i) {
-    std::string stage;
-    double micros;
-    TV_RETURN_NOT_OK(r.GetString(&stage));
-    TV_RETURN_NOT_OK(r.GetF64(&micros));
-    out->profile_stage_micros[stage] = micros;
-  }
-  uint32_t n_counters;
-  TV_RETURN_NOT_OK(r.GetU32(&n_counters));
-  for (uint32_t i = 0; i < n_counters; ++i) {
-    std::string counter;
-    uint64_t value;
-    TV_RETURN_NOT_OK(r.GetString(&counter));
-    TV_RETURN_NOT_OK(r.GetU64(&value));
-    out->profile_counters[counter] = value;
-  }
-  TV_RETURN_NOT_OK(r.GetString(&out->profile));
   TV_RETURN_NOT_OK(r.GetU8(&flag));
   out->explained = flag != 0;
   TV_RETURN_NOT_OK(r.GetU8(&flag));

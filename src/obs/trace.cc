@@ -45,13 +45,6 @@ std::vector<QueryTrace::Span> QueryTrace::Spans() const {
   return spans_;
 }
 
-std::map<std::string, double> QueryTrace::StageMicros() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const Span& s : spans_) out[s.name] += s.micros;
-  return out;
-}
-
 std::map<std::string, uint64_t> QueryTrace::Counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;

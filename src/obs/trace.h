@@ -37,8 +37,6 @@ class QueryTrace {
   void AddCounter(const char* name, uint64_t delta);
 
   std::vector<Span> Spans() const;
-  // Total time per span name, summed over all occurrences.
-  std::map<std::string, double> StageMicros() const;
   std::map<std::string, uint64_t> Counters() const;
 
   // Human-readable stage breakdown (the PROFILE output).

@@ -20,12 +20,6 @@ namespace tigervector {
 
 namespace {
 
-#define TV_RETURN_NOT_OK_STMT(expr)      \
-  do {                                   \
-    ::tigervector::Status _st = (expr);  \
-    if (!_st.ok()) return _st;           \
-  } while (false)
-
 const char* OpName(BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq: return "==";
@@ -223,9 +217,10 @@ void AddSearchActuals(const TraceSnapshot& before, const Cluster* cluster, bool 
 
 }  // namespace
 
-std::string PlanDescription::Render() const {
+std::string QueryPlan::Render(bool analyzed) const {
   std::ostringstream out;
-  for (const PlanNode& node : nodes) {
+  for (const Op& op : ops) {
+    const PlanNode& node = op.node;
     out << node.label << "\n";
     for (const std::string& detail : node.details) {
       out << "    - " << detail << "\n";
@@ -259,34 +254,36 @@ std::string ExprToString(const Expr& expr) {
   return "?";
 }
 
-Result<std::vector<QueryExecutor::ResolvedNode>> QueryExecutor::ResolveNodes(
+Result<std::vector<QueryPlan::Alias>> QueryExecutor::ResolveNodes(
     const SelectStmt& stmt, const VarMap& vars) const {
-  std::vector<ResolvedNode> nodes;
+  std::vector<QueryPlan::Alias> nodes;
   int anon = 0;
   for (const NodePattern& np : stmt.pattern.nodes) {
-    ResolvedNode node;
-    node.alias = np.alias.empty() ? "_" + std::to_string(anon++) : np.alias;
-    if (!np.source.empty()) {
-      auto var_it = vars.find(np.source);
-      if (var_it != vars.end()) {
-        node.var = &var_it->second;
-      } else {
-        auto vt = db_->schema()->GetVertexType(np.source);
-        if (!vt.ok()) {
-          return Status::SemanticError("'" + np.source +
-                                       "' is neither a vertex type nor a vertex set "
-                                       "variable");
-        }
-        node.type_id = (*vt)->id;
+    QueryPlan::Alias node;
+    node.name = np.alias.empty() ? "_" + std::to_string(anon++) : np.alias;
+    if (np.source.empty()) {
+      return Status::SemanticError("node '" + node.name +
+                                   "' needs a vertex type or a vertex set variable");
+    }
+    auto var_it = vars.find(np.source);
+    if (var_it != vars.end()) {
+      node.var = &var_it->second;
+    } else {
+      auto vt = db_->schema()->GetVertexType(np.source);
+      if (!vt.ok()) {
+        return Status::SemanticError("'" + np.source +
+                                     "' is neither a vertex type nor a vertex set "
+                                     "variable");
       }
+      node.type_id = (*vt)->id;
     }
     nodes.push_back(std::move(node));
   }
   // Duplicate aliases are not supported (no cyclic patterns).
   for (size_t i = 0; i < nodes.size(); ++i) {
     for (size_t j = i + 1; j < nodes.size(); ++j) {
-      if (nodes[i].alias == nodes[j].alias) {
-        return Status::SemanticError("duplicate alias '" + nodes[i].alias + "'");
+      if (nodes[i].name == nodes[j].name) {
+        return Status::SemanticError("duplicate alias '" + nodes[i].name + "'");
       }
     }
   }
@@ -370,7 +367,7 @@ Result<bool> QueryExecutor::EvalPredicate(const Expr& expr, VertexId vid, Tid re
   }
 }
 
-Result<VertexSet> QueryExecutor::BaseSet(const ResolvedNode& node, Tid read_tid,
+Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_tid,
                                          const QueryParams& params,
                                          ScanCacheProbe* probe) const {
   VertexSet base;
@@ -394,7 +391,7 @@ Result<VertexSet> QueryExecutor::BaseSet(const ResolvedNode& node, Tid read_tid,
   if (node.var != nullptr) {
     // Variable-bound sets are query-local; their contents are not keyed by
     // any store version, so they never touch the bitmap cache.
-    if (probe != nullptr) probe->bypasses += 1;
+    probe->bypasses += 1;
     for (VertexId vid : *node.var) {
       if (!db_->store()->IsVisible(vid, read_tid)) continue;
       auto vt = db_->store()->GetVertexType(vid);
@@ -407,10 +404,6 @@ Result<VertexSet> QueryExecutor::BaseSet(const ResolvedNode& node, Tid read_tid,
       if (*ok) base.insert(vid);
     }
     return base;
-  }
-  if (node.type_id < 0) {
-    return Status::SemanticError("node '" + node.alias +
-                                 "' needs a vertex type or a vertex set variable");
   }
   if (!db_->access()->CanRead(role_, static_cast<VertexTypeId>(node.type_id))) {
     return Status::InvalidArgument(
@@ -454,32 +447,23 @@ Result<VertexSet> QueryExecutor::BaseSet(const ResolvedNode& node, Tid read_tid,
     // Version-keyed entries describe the segment at its latest applied
     // horizon; a reader pinned below that horizon sees different rows and
     // must scan directly.
+    cache::CacheKey key;
+    std::shared_ptr<Bitmap> fresh;  // a miss's scan result, admitted below
     if (!cacheable || seg->last_applied_tid() > read_tid) {
-      if (probe != nullptr) probe->bypasses += 1;
-      Status status = Status::OK();
-      seg->ForEachVertex(node.type_id, read_tid, [&](VertexId vid) {
-        if (!status.ok()) return;
-        auto ok = passes(vid);
-        if (!ok.ok()) {
-          status = ok.status();
-          return;
+      probe->bypasses += 1;
+    } else {
+      key = cache::BitmapKey(pred_fp, seg->id(), version);
+      if (cache::QueryCache::BitmapPtr bits = cache->LookupBitmap(key)) {
+        probe->hits += 1;
+        const VertexId base_vid = seg->base_vid();
+        for (size_t off = 0; off < bits->size(); ++off) {
+          if (bits->Test(off)) base.insert(base_vid + off);
         }
-        if (*ok) base.insert(vid);
-      });
-      TV_RETURN_NOT_OK_STMT(status);
-      continue;
-    }
-    const cache::CacheKey key = cache::BitmapKey(pred_fp, seg->id(), version);
-    if (cache::QueryCache::BitmapPtr bits = cache->LookupBitmap(key)) {
-      if (probe != nullptr) probe->hits += 1;
-      const VertexId base_vid = seg->base_vid();
-      for (size_t off = 0; off < bits->size(); ++off) {
-        if (bits->Test(off)) base.insert(base_vid + off);
+        continue;
       }
-      continue;
+      probe->misses += 1;
+      fresh = std::make_shared<Bitmap>(seg->capacity());
     }
-    if (probe != nullptr) probe->misses += 1;
-    auto fresh = std::make_shared<Bitmap>(seg->capacity());
     Status status = Status::OK();
     const VertexId base_vid = seg->base_vid();
     seg->ForEachVertex(node.type_id, read_tid, [&](VertexId vid) {
@@ -489,61 +473,339 @@ Result<VertexSet> QueryExecutor::BaseSet(const ResolvedNode& node, Tid read_tid,
         status = ok.status();
         return;
       }
-      if (*ok) {
-        base.insert(vid);
-        fresh->Set(static_cast<size_t>(vid - base_vid));
-      }
+      if (!*ok) return;
+      base.insert(vid);
+      if (fresh != nullptr) fresh->Set(static_cast<size_t>(vid - base_vid));
     });
-    TV_RETURN_NOT_OK_STMT(status);
+    TV_RETURN_NOT_OK(status);
     // Admit only if no commit or vacuum raced with the scan; a racing
     // writer would leave the bitmap describing neither version. The
     // horizon re-check is belt-and-braces for the window where a racing
     // mutation has raised last_applied_tid but its version bump is not
     // yet visible to this thread.
-    if (seg->version() == version && seg->last_applied_tid() <= read_tid) {
+    if (fresh != nullptr && seg->version() == version &&
+        seg->last_applied_tid() <= read_tid) {
       cache->InsertBitmap(key, std::move(fresh));
     }
   }
   return base;
 }
 
-Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
-                                                  const QueryParams& params,
-                                                  const VarMap& vars,
-                                                  PlanDescription* explain,
-                                                  bool execute) {
-  TV_SPAN("query.execute");
-  TV_COUNTER_INC("tv.query.selects_total");
-  // Records the select latency on every exit path.
-  struct SelectTimer {
-    Timer timer;
-    ~SelectTimer() {
-      TV_HISTOGRAM_OBSERVE("tv.query.select_seconds", timer.ElapsedSeconds());
+namespace {
+
+// Static decision lines of one EmbeddingAction, SELECT's and VectorSearch()'s
+// alike: the searched attributes (validated by the planner), the fan-out
+// degree, the filter strategy (`filter_source` names the candidates; empty
+// for a pure search), the brute-force-vs-HNSW tier threshold math (decided
+// per segment at run time, so EXPLAIN states the rule rather than a winner;
+// `accuracy` names the HNSW setting), the SIMD kernels and the quantization
+// each attribute's schema pin, else the process TV_QUANT mode, selects.
+std::vector<std::string> EmbeddingDetails(Database* db, const QueryPlan::Op& op,
+                                          const std::string& accuracy,
+                                          const std::string& filter_source) {
+  std::vector<std::string> details;
+  size_t segments = 0;
+  std::string sq8_attrs;
+  size_t num_sq8 = 0;
+  for (const auto& [type_name, attr] : op.attrs) {
+    const EmbeddingAttrDef* def =
+        (*db->schema()->GetVertexType(type_name))->FindEmbeddingAttr(attr);
+    details.push_back("embedding: " + type_name + "." + attr +
+                      " dim=" + std::to_string(def->info.dimension) +
+                      " metric=" + MetricName(def->info.metric));
+    segments += db->embeddings()->SegmentsOf(type_name, attr).size();
+    if (QuantEnabled(def->info)) {
+      sq8_attrs += (num_sq8++ == 0 ? "" : ", ") + type_name + "." + attr;
     }
-  } select_timer;
+  }
+  const size_t num_servers =
+      db->cluster() != nullptr ? db->cluster()->num_servers() : 1;
+  details.push_back("fan-out: " + std::to_string(segments) + " segment(s) across " +
+                    std::to_string(num_servers) + " server(s)" +
+                    (num_servers > 1 ? " [MPP scatter/gather]" : ""));
+  if (filter_source.empty()) {
+    details.push_back("strategy: pure vector search (no filter bitmap)");
+    details.push_back("tier: HNSW(" + accuracy + ") on every segment");
+  } else {
+    details.push_back("strategy: pre-filter (" + filter_source +
+                      " -> candidate bitmap)");
+    details.push_back("tier: per segment, brute-force if |bitmap * segment| < " +
+                      std::to_string(db->embeddings()->options().bruteforce_threshold) +
+                      ", else HNSW(" + accuracy + ")");
+  }
+  details.push_back(std::string("simd: ") + simd::ActiveIsaName() +
+                    " distance kernels");
+  if (num_sq8 == 0) {
+    details.push_back("quant: off (exact fp32 scan)");
+  } else {
+    details.push_back("quant: sq8 (rank on int8 codes, rerank " +
+                      std::to_string(simd::DefaultRerankFactor()) + "*k exact fp32)" +
+                      (num_sq8 == op.attrs.size()
+                           ? ""
+                           : " on " + sq8_attrs + ", exact fp32 elsewhere"));
+  }
+  return details;
+}
+
+// k of a top-k or join: the planned literal, or its $parameter's binding.
+Result<size_t> ResolveK(const QueryPlan::Op& op, const QueryParams& params) {
+  if (op.k_param.empty()) return op.k;
+  auto kd = ParamAsDouble(params, op.k_param);
+  if (!kd.ok()) return kd.status();
+  const int64_t k = static_cast<int64_t>(*kd);
+  if (k <= 0) {
+    return Status::InvalidArgument("top-k $" + op.k_param + " must be positive, got " +
+                                   std::to_string(k));
+  }
+  return static_cast<size_t>(k);
+}
+
+void AddActual(QueryPlan::Op* op, std::string key, std::string value) {
+  op->node.actuals.emplace_back(std::move(key), std::move(value));
+}
+
+// One Execute run: the database and the session settings it runs under,
+// the statement's MVCC horizon and, per pattern alias, its candidate set.
+struct ExecState {
+  Database* db = nullptr;
+  std::string role;
+  bool cache_bypass = false;
+  Tid read_tid = 0;
+  bool analyze = false;
+  std::vector<VertexSet> cand;
+};
+
+void RunSemiJoin(const QueryPlan& plan, const QueryPlan::Op& op, bool forward,
+                 ExecState* st) {
+  const QueryPlan::Edge& edge = plan.edges[op.alias];
+  VertexSet& near = st->cand[op.alias];
+  VertexSet& far = st->cand[op.alias + 1];
+  if (forward) {
+    // Keep the far scan's vertices reached from a near candidate.
+    VertexSet next;
+    for (VertexId vid : near) {
+      st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
+                                       [&](VertexId peer) {
+                                         if (far.count(peer) > 0) next.insert(peer);
+                                       });
+    }
+    far = std::move(next);
+    return;
+  }
+  // Keep near candidates with at least one neighbor among the far ones.
+  VertexSet kept;
+  for (VertexId vid : near) {
+    bool has = false;
+    st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
+                                     [&](VertexId peer) {
+                                       if (!has && far.count(peer) > 0) has = true;
+                                     });
+    if (has) kept.insert(vid);
+  }
+  near = std::move(kept);
+}
+
+Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
+                SelectResult* result) {
+  auto query = ParamAsVector(params, op->query_param);
+  if (!query.ok()) return query.status();
+  double threshold = op->threshold;
+  if (!op->threshold_param.empty()) {
+    auto t = ParamAsDouble(params, op->threshold_param);
+    if (!t.ok()) return t.status();
+    threshold = *t;
+  }
+  if ((*query)->size() != op->info.dimension) {
+    return Status::InvalidArgument(
+        "query vector dimension " + std::to_string((*query)->size()) +
+        " does not match " + op->attrs[0].first + "." + op->attrs[0].second +
+        " dimension " + std::to_string(op->info.dimension));
+  }
+  VectorSearchRequest request;
+  request.attrs = op->attrs;
+  request.query = (*query)->data();
+  request.k = 16;
+  request.pool = st->db->pool();
+  // The whole statement answers at one MVCC horizon.
+  request.read_tid = st->read_tid;
+  VertexSet& cand = st->cand[op->alias];
+  Bitmap bitmap;
+  if (!op->pure) {
+    bitmap = VertexSetToBitmap(cand, st->db->store()->vid_upper_bound());
+    request.filter = FilterView(&bitmap);
+  }
+  const size_t cand_in = cand.size();
+  const TraceSnapshot before = st->analyze ? SnapshotTrace() : TraceSnapshot{};
+  const float radius = static_cast<float>(threshold);
+  auto hits = st->db->cluster() != nullptr
+                  ? st->db->cluster()->DistributedRange(request, radius)
+                  : st->db->embeddings()->RangeSearch(request, radius);
+  if (!hits.ok()) return hits.status();
+  // Range results (unbounded hit count, ef-doubling restarts) are not
+  // admitted to the top-k result cache.
+  TraceVectorSearch(*hits, cache::Outcome::kBypass);
+  VertexSet in_range;
+  auto& distances = result->distances ? *result->distances : result->distances.emplace();
+  for (const SearchHit& h : hits->hits) {
+    in_range.insert(h.label);
+    distances[h.label] = h.distance;
+  }
+  if (op->pure) {
+    cand = std::move(in_range);
+  } else {
+    VertexSet kept;
+    for (VertexId vid : cand) {
+      if (in_range.count(vid) > 0) kept.insert(vid);
+    }
+    cand = std::move(kept);
+  }
+  if (st->analyze) {
+    AddActual(op, "candidates_in",
+              op->pure ? "all (pure range)" : std::to_string(cand_in));
+    AddActual(op, "hits_in_range", std::to_string(hits->hits.size()));
+    AddActual(op, "rows_out", std::to_string(cand.size()));
+    AddSearchActuals(before, st->db->cluster(), /*range=*/true, &op->node.actuals);
+  }
+  return Status::OK();
+}
+
+Status RunTopK(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
+               SelectResult* result) {
+  TV_SPAN("query.topk");
+  auto k = ResolveK(*op, params);
+  if (!k.ok()) return k.status();
+  auto query = ParamAsVector(params, op->query_param);
+  if (!query.ok()) return query.status();
+  // A SELECT's filter is its pattern's candidates: graph pattern and
+  // predicates become the bitmap one EmbeddingAction consumes (Sec.
+  // 5.2/5.3). VectorSearch() takes a vertex-set variable instead.
+  const bool from_pattern = op->alias >= 0;
+  Database::VectorSearchFnOptions options;
+  options.filter =
+      from_pattern ? (op->pure ? nullptr : &st->cand[op->alias]) : op->filter;
+  options.ef = op->ef;
+  options.distance_map =
+      result->distances ? &*result->distances : &result->distances.emplace();
+  options.role = st->role;
+  // The whole statement answers at one MVCC horizon; the result cache keys
+  // on it.
+  options.read_tid = st->read_tid;
+  options.bypass_cache = st->cache_bypass;
+  const TraceSnapshot before = st->analyze ? SnapshotTrace() : TraceSnapshot{};
+  auto hits = st->db->VectorSearch(op->attrs, **query, *k, options);
+  if (!hits.ok()) return hits.status();
+  result->vertices = std::move(hits).value();
+  if (!st->analyze) return Status::OK();
+  if (options.filter != nullptr) {
+    AddActual(op, "filter_candidates", std::to_string(options.filter->size()));
+    if (from_pattern) {
+      AddActual(op, "filter_selectivity",
+                FmtSelectivity(options.filter->size(),
+                               st->db->store()->vid_upper_bound()));
+    }
+  } else if (from_pattern) {
+    AddActual(op, "filter_candidates", "none (pure search)");
+  }
+  AddActual(op, "rows_out", std::to_string(result->vertices.size()));
+  AddSearchActuals(before, st->db->cluster(), /*range=*/false, &op->node.actuals);
+  return Status::OK();
+}
+
+Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
+                         const QueryParams& params, ExecState* st,
+                         SelectResult* result) {
+  TV_SPAN("query.topk");
+  auto k = ResolveK(*op, params);
+  if (!k.ok()) return k.status();
+  const size_t dim = op->info.dimension;
+  // Enumerate matched (s, t) pairs by walking the chain from each s;
+  // brute-force distances with a global top-k heap accumulator. Every s
+  // comes once from its candidate set and every t once from that s's
+  // frontier set, so no pair is scored twice.
+  std::unordered_map<VertexId, std::vector<float>> s_vecs, t_vecs;
+  auto vec_of = [&](std::unordered_map<VertexId, std::vector<float>>& cache,
+                    const std::pair<std::string, std::string>& attr,
+                    VertexId vid) -> const std::vector<float>* {
+    auto it = cache.find(vid);
+    if (it != cache.end()) return &it->second;
+    std::vector<float> v(dim);
+    if (!st->db->embeddings()
+             ->GetEmbedding(attr.first, attr.second, vid, v.data(), st->read_tid)
+             .ok()) {
+      return nullptr;
+    }
+    return &cache.emplace(vid, std::move(v)).first->second;
+  };
+  TopKHeap<std::pair<VertexId, VertexId>> heap(*k);  // ties by (s, t)
+  size_t pairs_evaluated = 0;
+  for (VertexId s : st->cand[op->alias]) {
+    // Walk the chain to find reachable t's under the candidate sets.
+    VertexSet frontier{s};
+    for (size_t e = 0; e < plan.edges.size(); ++e) {
+      VertexSet next;
+      for (VertexId vid : frontier) {
+        st->db->store()->ForEachNeighbor(
+            vid, plan.edges[e].type, plan.edges[e].dir, st->read_tid,
+            [&](VertexId peer) {
+              if (st->cand[e + 1].count(peer) > 0) next.insert(peer);
+            });
+      }
+      frontier = std::move(next);
+    }
+    if (frontier.empty()) continue;
+    const std::vector<float>* sv = vec_of(s_vecs, op->attrs[0], s);
+    if (sv == nullptr) continue;
+    for (VertexId t : frontier) {
+      if (s == t) continue;
+      ++pairs_evaluated;
+      const std::vector<float>* tv = vec_of(t_vecs, op->attrs[1], t);
+      if (tv == nullptr) continue;
+      heap.Push(ComputeDistance(op->info.metric, sv->data(), tv->data(), dim), {s, t});
+    }
+  }
+  result->is_join = true;
+  for (const auto& e : heap.TakeSorted()) {
+    result->pairs.push_back(SelectResult::Pair{e.id.first, e.id.second, e.distance});
+  }
+  if (st->analyze) {
+    AddActual(op, "pairs_evaluated", std::to_string(pairs_evaluated));
+    AddActual(op, "rows_out", std::to_string(result->pairs.size()));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<QueryPlan> QueryExecutor::PlanSelect(const SelectStmt& stmt,
+                                            const VarMap& vars) const {
   Timer plan_timer;
-  const Tid read_tid = db_->store()->visible_tid();
+  QueryPlan plan;
   auto nodes_result = ResolveNodes(stmt, vars);
   if (!nodes_result.ok()) return nodes_result.status();
-  std::vector<ResolvedNode> nodes = std::move(nodes_result).value();
-
+  plan.aliases = std::move(nodes_result).value();
+  std::vector<QueryPlan::Alias>& nodes = plan.aliases;
   auto alias_index = [&](const std::string& alias) -> int {
     for (size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i].alias == alias) return static_cast<int>(i);
+      if (nodes[i].name == alias) return static_cast<int>(i);
     }
     return -1;
+  };
+  // Looks up the embedding attribute a vector op searches on `alias`.
+  auto embedding_attr = [&](int alias,
+                            const std::string& attr) -> Result<const EmbeddingAttrDef*> {
+    const VertexTypeDef& vt = db_->schema()->vertex_type(nodes[alias].type_id);
+    const EmbeddingAttrDef* def = vt.FindEmbeddingAttr(attr);
+    if (def == nullptr) {
+      return Status::SemanticError("'" + attr + "' is not an embedding attribute of " +
+                                   vt.name);
+    }
+    return def;
   };
 
   // ---- Classify WHERE conjuncts ----
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(stmt.where.get(), &conjuncts);
-  struct RangeSpec {
-    int node = -1;
-    std::string attr;
-    const Expr* query_operand = nullptr;
-    const Expr* threshold_operand = nullptr;
-  };
-  std::vector<RangeSpec> ranges;
+  std::vector<const Expr*> range_conjuncts;
   for (const Expr* conjunct : conjuncts) {
     if (ContainsVectorDist(*conjunct)) {
       // Range search predicate: VECTOR_DIST(alias.attr, $q) < threshold.
@@ -557,15 +819,10 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       if (dist.lhs->kind != Expr::Kind::kAttrRef) {
         return Status::SemanticError("VECTOR_DIST first argument must be v.attr");
       }
-      RangeSpec spec;
-      spec.node = alias_index(dist.lhs->alias);
-      if (spec.node < 0) {
+      if (alias_index(dist.lhs->alias) < 0) {
         return Status::SemanticError("unknown alias '" + dist.lhs->alias + "'");
       }
-      spec.attr = dist.lhs->attr;
-      spec.query_operand = dist.rhs.get();
-      spec.threshold_operand = conjunct->rhs.get();
-      ranges.push_back(spec);
+      range_conjuncts.push_back(conjunct);
       continue;
     }
     std::vector<std::string> aliases;
@@ -586,356 +843,69 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
   }
 
   // ---- Resolve edge types ----
-  std::vector<const EdgeTypeDef*> edge_defs;
   for (const EdgePattern& ep : stmt.pattern.edges) {
     auto et = db_->schema()->GetEdgeType(ep.edge_type);
     if (!et.ok()) return et.status();
-    edge_defs.push_back(*et);
-  }
-  // ---- Plan text + EXPLAIN description (built statically, bottom-up) ----
-  SelectResult result;
-  int topk_plan_idx = -1;
-  std::vector<int> range_plan_idx(ranges.size(), -1);
-  std::vector<int> node_plan_idx(nodes.size(), -1);
-  std::vector<int> edge_plan_idx(stmt.pattern.edges.size(), -1);
-  {
-    struct PlanLine {
-      std::string text;
-      int node_idx = -1;
-      int edge_idx = -1;
-    };
-    std::vector<PlanLine> lines;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      std::string preds;
-      for (const Expr* p : nodes[i].predicates) {
-        if (!preds.empty()) preds += " AND ";
-        preds += ExprToString(*p);
-      }
-      std::string type_name = nodes[i].type_id >= 0
-                                  ? db_->schema()->vertex_type(nodes[i].type_id).name
-                                  : (nodes[i].var != nullptr ? "<var>" : "<any>");
-      PlanLine vline;
-      vline.text = "VertexAction[" + type_name + ":" + nodes[i].alias +
-                   (preds.empty() ? "" : " {" + preds + "}") + "]";
-      vline.node_idx = static_cast<int>(i);
-      lines.push_back(std::move(vline));
-      if (i < stmt.pattern.edges.size()) {
-        PlanLine eline;
-        eline.text = "EdgeAction[" + nodes[i].alias + " -" +
-                     stmt.pattern.edges[i].edge_type + "- " + nodes[i + 1].alias + "]";
-        eline.edge_idx = static_cast<int>(i);
-        lines.push_back(std::move(eline));
-      }
-    }
-    std::reverse(lines.begin(), lines.end());
-
-    const size_t bf_threshold = db_->embeddings()->options().bruteforce_threshold;
-    const size_t num_servers =
-        db_->cluster() != nullptr ? db_->cluster()->num_servers() : 1;
-    // Static decision lines of one EmbeddingAction: the chosen attribute and
-    // its index, the fan-out degree, the filter strategy, and the
-    // brute-force-vs-HNSW tier threshold math (decided per segment at run
-    // time, so EXPLAIN states the rule rather than a winner).
-    auto embedding_details = [&](int node_idx, const std::string& attr,
-                                 const std::string& accuracy, bool filtered) {
-      std::vector<std::string> details;
-      // Effective quantization: schema pin wins, else process TV_QUANT mode.
-      bool quant_on = simd::ActiveQuantMode() == simd::QuantMode::kSq8;
-      if (node_idx >= 0 && nodes[node_idx].type_id >= 0) {
-        const VertexTypeDef& vt = db_->schema()->vertex_type(nodes[node_idx].type_id);
-        const EmbeddingAttrDef* def = vt.FindEmbeddingAttr(attr);
-        if (def != nullptr) {
-          quant_on = QuantEnabled(def->info);
-          details.push_back("embedding: " + vt.name + "." + attr +
-                            " dim=" + std::to_string(def->info.dimension) +
-                            " metric=" + MetricName(def->info.metric));
-          const size_t segs = db_->embeddings()->SegmentsOf(vt.name, attr).size();
-          details.push_back(
-              "fan-out: " + std::to_string(segs) + " segment(s) across " +
-              std::to_string(num_servers) + " server(s)" +
-              (num_servers > 1 ? " [MPP scatter/gather]" : ""));
-        }
-      }
-      details.push_back(filtered
-                            ? "strategy: pre-filter (pattern + predicates -> "
-                              "candidate bitmap)"
-                            : "strategy: pure vector search (no filter bitmap)");
-      if (filtered) {
-        details.push_back("tier: per segment, brute-force if |bitmap * segment| < " +
-                          std::to_string(bf_threshold) + ", else HNSW(" + accuracy +
-                          ")");
-      } else {
-        details.push_back("tier: HNSW(" + accuracy + ") on every segment");
-      }
-      details.push_back(std::string("simd: ") + simd::ActiveIsaName() +
-                        " distance kernels");
-      details.push_back(quant_on
-                            ? "quant: sq8 (rank on int8 codes, rerank " +
-                                  std::to_string(simd::DefaultRerankFactor()) +
-                                  "*k exact fp32)"
-                            : std::string("quant: off (exact fp32 scan)"));
-      return details;
-    };
-
-    std::string plan;
-    std::string topk_label;
-    if (stmt.order_dist != nullptr) {
-      const std::string k_str =
-          stmt.has_limit ? (stmt.limit_param.empty() ? std::to_string(stmt.limit)
-                                                     : "$" + stmt.limit_param)
-                         : "all";
-      topk_label = "EmbeddingAction[Top " + k_str + ", {" +
-                   ExprToString(*stmt.order_dist->lhs) + "}, " +
-                   ExprToString(*stmt.order_dist->rhs) + "]";
-      plan = topk_label + "\n";
-    }
-    std::vector<std::string> range_labels;
-    for (const RangeSpec& spec : ranges) {
-      range_labels.push_back("EmbeddingAction[Range, {" + nodes[spec.node].alias +
-                             "." + spec.attr + "}, " +
-                             ExprToString(*spec.query_operand) + " < " +
-                             ExprToString(*spec.threshold_operand) + "]");
-      plan += range_labels.back() + "\n";
-    }
-    for (const PlanLine& line : lines) plan += line.text + "\n";
-    result.plan = std::move(plan);
-
-    if (explain != nullptr) {
-      explain->nodes.clear();
-      explain->analyzed = execute;
-      if (stmt.order_dist != nullptr) {
-        PlanNode node;
-        node.label = topk_label;
-        const Expr& dist = *stmt.order_dist;
-        const bool join = dist.lhs->kind == Expr::Kind::kAttrRef &&
-                          dist.rhs->kind == Expr::Kind::kAttrRef;
-        if (join) {
-          node.details.push_back(
-              "similarity join: brute-force distances over matched endpoint "
-              "pairs, global top-k heap");
-        } else if (dist.lhs->kind == Expr::Kind::kAttrRef) {
-          const int idx = alias_index(dist.lhs->alias);
-          const bool pure_static = nodes.size() == 1 && idx == 0 &&
-                                   nodes[0].predicates.empty() &&
-                                   nodes[0].var == nullptr && ranges.empty();
-          node.details = embedding_details(idx, dist.lhs->attr, "ef=64", !pure_static);
-        }
-        topk_plan_idx = static_cast<int>(explain->nodes.size());
-        explain->Add(std::move(node));
-      }
-      for (size_t ri = 0; ri < ranges.size(); ++ri) {
-        const RangeSpec& spec = ranges[ri];
-        PlanNode node;
-        node.label = range_labels[ri];
-        const bool pure_static = nodes.size() == 1 &&
-                                 nodes[spec.node].predicates.empty() &&
-                                 nodes[spec.node].var == nullptr;
-        node.details =
-            embedding_details(spec.node, spec.attr, "doubling ef, k=16", !pure_static);
-        range_plan_idx[ri] = static_cast<int>(explain->nodes.size());
-        explain->Add(std::move(node));
-      }
-      for (const PlanLine& line : lines) {
-        PlanNode node;
-        node.label = line.text;
-        if (line.node_idx >= 0) {
-          const ResolvedNode& rn = nodes[line.node_idx];
-          node.details.push_back(rn.var != nullptr
-                                     ? "source: vertex-set variable"
-                                     : (rn.type_id >= 0 ? "source: type scan"
-                                                        : "source: unbound"));
-          if (!rn.predicates.empty()) {
-            node.details.push_back("predicates: " +
-                                   std::to_string(rn.predicates.size()));
-          }
-          node_plan_idx[line.node_idx] = static_cast<int>(explain->nodes.size());
-        } else if (line.edge_idx >= 0) {
-          node.details.push_back("semi-join: forward then backward pass");
-          edge_plan_idx[line.edge_idx] = static_cast<int>(explain->nodes.size());
-        }
-        explain->Add(std::move(node));
-      }
-    }
-  }
-  obs::RecordSpanMicros("query.plan", plan_timer.ElapsedMicros());
-  // EXPLAIN without ANALYZE: the plan above is the whole answer.
-  if (!execute) return result;
-
-  // Attaches one actual (EXPLAIN ANALYZE) to a plan node; no-op otherwise.
-  auto add_actual = [&](int plan_idx, const std::string& key, std::string value) {
-    if (explain == nullptr || plan_idx < 0) return;
-    explain->nodes[plan_idx].actuals.emplace_back(key, std::move(value));
-  };
-
-  // ---- Candidate sets: forward then backward semi-join ----
-  Timer cand_timer;
-  std::vector<VertexSet> cand(nodes.size());
-  std::vector<ScanCacheProbe> probes(nodes.size());
-  {
-    auto base0 = BaseSet(nodes[0], read_tid, params, &probes[0]);
-    if (!base0.ok()) return base0.status();
-    cand[0] = std::move(base0).value();
-  }
-  for (size_t i = 0; i + 1 < nodes.size(); ++i) {
-    auto base_next = BaseSet(nodes[i + 1], read_tid, params, &probes[i + 1]);
-    if (!base_next.ok()) return base_next.status();
-    const VertexSet& allowed = *base_next;
-    VertexSet next;
-    const Direction dir = stmt.pattern.edges[i].dir;
-    for (VertexId vid : cand[i]) {
-      db_->store()->ForEachNeighbor(vid, edge_defs[i]->id, dir, read_tid,
-                                    [&](VertexId peer) {
-                                      if (allowed.count(peer) > 0) next.insert(peer);
-                                    });
-    }
-    cand[i + 1] = std::move(next);
-  }
-  for (size_t ri = nodes.size(); ri-- > 1;) {
-    // Keep cand[ri-1] entries with at least one neighbor in cand[ri].
-    const Direction dir = stmt.pattern.edges[ri - 1].dir;
-    VertexSet kept;
-    for (VertexId vid : cand[ri - 1]) {
-      bool has = false;
-      db_->store()->ForEachNeighbor(vid, edge_defs[ri - 1]->id, dir, read_tid,
-                                    [&](VertexId peer) {
-                                      if (!has && cand[ri].count(peer) > 0) has = true;
-                                    });
-      if (has) kept.insert(vid);
-    }
-    cand[ri - 1] = std::move(kept);
-  }
-  obs::RecordSpanMicros("query.candidates", cand_timer.ElapsedMicros());
-  if (explain != nullptr) {
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      add_actual(node_plan_idx[i], "rows", std::to_string(cand[i].size()));
-      add_actual(node_plan_idx[i], "cache",
-                 ScanCacheLabel(probes[i].hits, probes[i].misses,
-                                probes[i].bypasses));
-    }
-    for (size_t e = 0; e < stmt.pattern.edges.size(); ++e) {
-      add_actual(edge_plan_idx[e], "rows_out", std::to_string(cand[e + 1].size()));
-    }
+    plan.edges.push_back(QueryPlan::Edge{(*et)->id, ep.dir});
   }
 
   // ---- Range search conjuncts ----
-  for (size_t range_i = 0; range_i < ranges.size(); ++range_i) {
-    const RangeSpec& spec = ranges[range_i];
-    if (spec.query_operand->kind != Expr::Kind::kParam) {
+  std::vector<QueryPlan::Op> ranges;
+  for (const Expr* conjunct : range_conjuncts) {
+    const Expr& dist = *conjunct->lhs;
+    const Expr& threshold = *conjunct->rhs;
+    QueryPlan::Op op;
+    op.kind = QueryPlan::Op::Kind::kRange;
+    op.alias = alias_index(dist.lhs->alias);
+    if (dist.rhs->kind != Expr::Kind::kParam) {
       return Status::SemanticError("VECTOR_DIST query operand must be a $parameter");
     }
-    auto query = ParamAsVector(params, spec.query_operand->param);
-    if (!query.ok()) return query.status();
-    double threshold;
-    if (spec.threshold_operand->kind == Expr::Kind::kLiteral) {
-      const Value& v = spec.threshold_operand->literal;
-      if (std::holds_alternative<double>(v)) {
-        threshold = std::get<double>(v);
-      } else if (std::holds_alternative<int64_t>(v)) {
-        threshold = static_cast<double>(std::get<int64_t>(v));
+    op.query_param = dist.rhs->param;
+    if (threshold.kind == Expr::Kind::kLiteral) {
+      if (std::holds_alternative<double>(threshold.literal)) {
+        op.threshold = std::get<double>(threshold.literal);
+      } else if (std::holds_alternative<int64_t>(threshold.literal)) {
+        op.threshold = static_cast<double>(std::get<int64_t>(threshold.literal));
       } else {
         return Status::SemanticError("range threshold must be numeric");
       }
-    } else if (spec.threshold_operand->kind == Expr::Kind::kParam) {
-      auto t = ParamAsDouble(params, spec.threshold_operand->param);
-      if (!t.ok()) return t.status();
-      threshold = *t;
+    } else if (threshold.kind == Expr::Kind::kParam) {
+      op.threshold_param = threshold.param;
     } else {
       return Status::SemanticError("range threshold must be a literal or $parameter");
     }
-    const ResolvedNode& node = nodes[spec.node];
+    const QueryPlan::Alias& node = nodes[op.alias];
     if (node.type_id < 0) {
       return Status::SemanticError("range search alias must have a vertex type");
     }
-    const VertexTypeDef& range_type = db_->schema()->vertex_type(node.type_id);
-    const EmbeddingAttrDef* range_attr = range_type.FindEmbeddingAttr(spec.attr);
-    if (range_attr == nullptr) {
-      return Status::SemanticError("'" + spec.attr +
-                                   "' is not an embedding attribute of " +
-                                   range_type.name);
-    }
-    if ((*query)->size() != range_attr->info.dimension) {
-      return Status::InvalidArgument(
-          "query vector dimension " + std::to_string((*query)->size()) +
-          " does not match " + range_type.name + "." + spec.attr + " dimension " +
-          std::to_string(range_attr->info.dimension));
-    }
-    VectorSearchRequest request;
-    request.attrs = {{range_type.name, spec.attr}};
-    request.query = (*query)->data();
-    request.k = 16;
-    request.pool = db_->pool();
-    // The whole statement answers at one MVCC horizon.
-    request.read_tid = read_tid;
+    auto def = embedding_attr(op.alias, dist.lhs->attr);
+    if (!def.ok()) return def.status();
+    op.attrs = {{db_->schema()->vertex_type(node.type_id).name, dist.lhs->attr}};
+    op.info = (*def)->info;
     // Pre-filter: pure single-node range scans skip the bitmap entirely.
-    Bitmap bitmap;
-    const bool pure = nodes.size() == 1 && node.predicates.empty() &&
-                      node.var == nullptr;
-    if (!pure) {
-      bitmap = VertexSetToBitmap(cand[spec.node], db_->store()->vid_upper_bound());
-      request.filter = FilterView(&bitmap);
-    }
-    const size_t cand_in = cand[spec.node].size();
-    const int plan_idx = range_plan_idx[range_i];
-    const bool analyze = explain != nullptr && plan_idx >= 0;
-    const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
-    auto hits = db_->cluster() != nullptr
-                    ? db_->cluster()->DistributedRange(request,
-                                                       static_cast<float>(threshold))
-                    : db_->embeddings()->RangeSearch(request,
-                                                     static_cast<float>(threshold));
-    if (!hits.ok()) return hits.status();
-    // Range results (unbounded hit count, ef-doubling restarts) are not
-    // admitted to the top-k result cache.
-    TraceVectorSearch(*hits, cache::Outcome::kBypass);
-    VertexSet in_range;
-    auto& distances = result.distances ? *result.distances : result.distances.emplace();
-    for (const SearchHit& h : hits->hits) {
-      in_range.insert(h.label);
-      distances[h.label] = h.distance;
-    }
-    if (pure) {
-      cand[spec.node] = std::move(in_range);
-    } else {
-      VertexSet kept;
-      for (VertexId vid : cand[spec.node]) {
-        if (in_range.count(vid) > 0) kept.insert(vid);
-      }
-      cand[spec.node] = std::move(kept);
-    }
-    if (analyze) {
-      add_actual(plan_idx, "candidates_in",
-                 pure ? "all (pure range)" : std::to_string(cand_in));
-      add_actual(plan_idx, "hits_in_range", std::to_string(hits->hits.size()));
-      add_actual(plan_idx, "rows_out", std::to_string(cand[spec.node].size()));
-      AddSearchActuals(before, db_->cluster(), /*range=*/true,
-                       &explain->nodes[plan_idx].actuals);
-    }
+    op.pure = nodes.size() == 1 && node.predicates.empty() && node.var == nullptr;
+    op.node.label = "EmbeddingAction[Range, {" + node.name + "." + dist.lhs->attr +
+                    "}, " + ExprToString(*dist.rhs) + " < " +
+                    ExprToString(threshold) + "]";
+    op.node.details = EmbeddingDetails(db_, op, "doubling ef, k=16",
+                                       op.pure ? "" : "pattern + predicates");
+    ranges.push_back(std::move(op));
   }
 
-  // ---- ORDER BY VECTOR_DIST ----
+  // ---- ORDER BY VECTOR_DIST: top-k search or similarity join ----
   if (stmt.order_dist != nullptr) {
-    TV_SPAN("query.topk");
-    size_t k = 10;
-    if (stmt.has_limit) {
-      if (!stmt.limit_param.empty()) {
-        auto kd = ParamAsDouble(params, stmt.limit_param);
-        if (!kd.ok()) return kd.status();
-        if (*kd <= 0) {
-          return Status::InvalidArgument("top-k LIMIT $" + stmt.limit_param +
-                                         " must be positive");
-        }
-        k = static_cast<size_t>(*kd);
-      } else {
-        if (stmt.limit <= 0) {
-          return Status::InvalidArgument("top-k LIMIT must be positive");
-        }
-        k = static_cast<size_t>(stmt.limit);
-      }
-    }
     const Expr& dist = *stmt.order_dist;
-    const bool join = dist.lhs->kind == Expr::Kind::kAttrRef &&
-                      dist.rhs->kind == Expr::Kind::kAttrRef;
-    if (join) {
+    QueryPlan::Op op;
+    if (stmt.has_limit && !stmt.limit_param.empty()) {
+      op.k_param = stmt.limit_param;
+    } else if (stmt.has_limit) {
+      if (stmt.limit <= 0) {
+        return Status::InvalidArgument("top-k LIMIT must be positive");
+      }
+      op.k = static_cast<size_t>(stmt.limit);
+    }
+    if (dist.lhs->kind == Expr::Kind::kAttrRef &&
+        dist.rhs->kind == Expr::Kind::kAttrRef) {
       // ---- Vector similarity join on the pattern (Sec. 5.4) ----
       const int s_idx = alias_index(dist.lhs->alias);
       const int t_idx = alias_index(dist.rhs->alias);
@@ -952,299 +922,243 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       if (nodes[s_idx].type_id < 0 || nodes[t_idx].type_id < 0) {
         return Status::SemanticError("join endpoints must have vertex types");
       }
-      const std::string s_type = db_->schema()->vertex_type(nodes[s_idx].type_id).name;
-      const std::string t_type = db_->schema()->vertex_type(nodes[t_idx].type_id).name;
-      // Compatibility check across the two embedding attributes.
-      const auto* s_def = db_->schema()
-                              ->vertex_type(nodes[s_idx].type_id)
-                              .FindEmbeddingAttr(dist.lhs->attr);
-      const auto* t_def = db_->schema()
-                              ->vertex_type(nodes[t_idx].type_id)
-                              .FindEmbeddingAttr(dist.rhs->attr);
+      const VertexTypeDef& s_type = db_->schema()->vertex_type(nodes[s_idx].type_id);
+      const VertexTypeDef& t_type = db_->schema()->vertex_type(nodes[t_idx].type_id);
+      const EmbeddingAttrDef* s_def = s_type.FindEmbeddingAttr(dist.lhs->attr);
+      const EmbeddingAttrDef* t_def = t_type.FindEmbeddingAttr(dist.rhs->attr);
       if (s_def == nullptr || t_def == nullptr) {
         return Status::SemanticError("join attributes must be embedding attributes");
       }
-      TV_RETURN_NOT_OK_STMT(CheckCompatible(s_def->info, t_def->info));
-
-      // Enumerate matched (s, t) pairs by walking the chain from each s;
-      // brute-force distances with a global top-k heap accumulator.
-      std::unordered_map<VertexId, std::vector<float>> s_vecs, t_vecs;
-      auto vec_of = [&](std::unordered_map<VertexId, std::vector<float>>& cache,
-                        const std::string& type, const std::string& attr,
-                        VertexId vid) -> const std::vector<float>* {
-        auto it = cache.find(vid);
-        if (it != cache.end()) return &it->second;
-        std::vector<float> v(s_def->info.dimension);
-        if (!db_->embeddings()->GetEmbedding(type, attr, vid, v.data()).ok()) {
-          return nullptr;
-        }
-        return &cache.emplace(vid, std::move(v)).first->second;
-      };
-      struct PairKey {
-        VertexId s, t;
-        bool operator==(const PairKey& o) const { return s == o.s && t == o.t; }
-      };
-      struct PairHash {
-        size_t operator()(const PairKey& p) const {
-          return std::hash<uint64_t>()(p.s * 0x9e3779b97f4a7c15ULL ^ p.t);
-        }
-      };
-      std::unordered_set<PairKey, PairHash> seen;
-      struct PairEntry {
-        float distance;
-        VertexId s, t;
-        bool operator<(const PairEntry& o) const {
-          if (distance != o.distance) return distance < o.distance;
-          if (s != o.s) return s < o.s;
-          return t < o.t;
-        }
-      };
-      std::priority_queue<PairEntry> heap;  // max-heap keeps k smallest
-      for (VertexId s : cand[s_idx]) {
-        // Walk the chain to find reachable t's under the candidate sets.
-        VertexSet frontier{s};
-        for (size_t e = 0; e < edge_defs.size(); ++e) {
-          VertexSet next;
-          for (VertexId vid : frontier) {
-            db_->store()->ForEachNeighbor(
-                vid, edge_defs[e]->id, stmt.pattern.edges[e].dir, read_tid,
-                [&](VertexId peer) {
-                  if (cand[e + 1].count(peer) > 0) next.insert(peer);
-                });
-          }
-          frontier = std::move(next);
-        }
-        if (frontier.empty()) continue;
-        const std::vector<float>* sv = vec_of(s_vecs, s_type, dist.lhs->attr, s);
-        if (sv == nullptr) continue;
-        for (VertexId t : frontier) {
-          if (s == t) continue;
-          if (!seen.insert(PairKey{s, t}).second) continue;
-          const std::vector<float>* tv = vec_of(t_vecs, t_type, dist.rhs->attr, t);
-          if (tv == nullptr) continue;
-          const float d = ComputeDistance(s_def->info.metric, sv->data(), tv->data(),
-                                          s_def->info.dimension);
-          if (heap.size() < k) {
-            heap.push(PairEntry{d, s, t});
-          } else if (k > 0 && PairEntry{d, s, t} < heap.top()) {
-            heap.pop();
-            heap.push(PairEntry{d, s, t});
-          }
-        }
+      TV_RETURN_NOT_OK(CheckCompatible(s_def->info, t_def->info));
+      op.kind = QueryPlan::Op::Kind::kSimilarityJoin;
+      op.alias = s_idx;
+      op.attrs = {{s_type.name, dist.lhs->attr}, {t_type.name, dist.rhs->attr}};
+      op.info = s_def->info;
+      op.node.details.push_back(
+          "similarity join: brute-force distances over matched endpoint "
+          "pairs, global top-k heap");
+    } else {
+      // ---- Top-k vector search (pure or filtered, Sec. 5.1-5.3) ----
+      if (dist.lhs->kind != Expr::Kind::kAttrRef ||
+          dist.rhs->kind != Expr::Kind::kParam) {
+        return Status::SemanticError(
+            "ORDER BY VECTOR_DIST expects (alias.attr, $query_vector)");
       }
-      result.is_join = true;
-      while (!heap.empty()) {
-        result.pairs.push_back(
-            SelectResult::Pair{heap.top().s, heap.top().t, heap.top().distance});
-        heap.pop();
+      const int idx = alias_index(dist.lhs->alias);
+      if (idx < 0) {
+        return Status::SemanticError("unknown alias '" + dist.lhs->alias + "'");
       }
-      std::reverse(result.pairs.begin(), result.pairs.end());
-      std::sort(result.pairs.begin(), result.pairs.end(),
-                [](const SelectResult::Pair& a, const SelectResult::Pair& b) {
-                  return a.distance < b.distance;
-                });
-      add_actual(topk_plan_idx, "pairs_evaluated", std::to_string(seen.size()));
-      add_actual(topk_plan_idx, "rows_out", std::to_string(result.pairs.size()));
-      return result;
-    }
-
-    // ---- Top-k vector search (pure or filtered, Sec. 5.1-5.3) ----
-    if (dist.lhs->kind != Expr::Kind::kAttrRef ||
-        dist.rhs->kind != Expr::Kind::kParam) {
-      return Status::SemanticError(
-          "ORDER BY VECTOR_DIST expects (alias.attr, $query_vector)");
-    }
-    const int idx = alias_index(dist.lhs->alias);
-    if (idx < 0) {
-      return Status::SemanticError("unknown alias '" + dist.lhs->alias + "'");
-    }
-    if (stmt.select_aliases.size() != 1 ||
-        alias_index(stmt.select_aliases[0]) < 0) {
-      return Status::SemanticError("select alias must appear in the pattern");
-    }
-    if (stmt.select_aliases[0] != dist.lhs->alias) {
-      return Status::SemanticError(
-          "top-k vector search must select the searched alias '" +
-          dist.lhs->alias + "'");
-    }
-    if (nodes[idx].type_id < 0) {
-      return Status::SemanticError("vector search alias must have a vertex type");
-    }
-    auto query = ParamAsVector(params, dist.rhs->param);
-    if (!query.ok()) return query.status();
-    const VertexTypeDef& search_type = db_->schema()->vertex_type(nodes[idx].type_id);
-    const EmbeddingAttrDef* search_attr = search_type.FindEmbeddingAttr(dist.lhs->attr);
-    if (search_attr == nullptr) {
-      return Status::SemanticError("'" + dist.lhs->attr +
-                                   "' is not an embedding attribute of " +
-                                   search_type.name);
-    }
-    if ((*query)->size() != search_attr->info.dimension) {
-      return Status::InvalidArgument(
-          "query vector dimension " + std::to_string((*query)->size()) +
-          " does not match " + search_type.name + "." + dist.lhs->attr +
-          " dimension " + std::to_string(search_attr->info.dimension));
-    }
-    VectorSearchRequest request;
-    request.attrs = {{search_type.name, dist.lhs->attr}};
-    request.query = (*query)->data();
-    request.k = k;
-    request.pool = db_->pool();
-    // The whole statement answers at one MVCC horizon; the result cache
-    // keys on it.
-    request.read_tid = read_tid;
-    Bitmap bitmap;
-    const bool pure = nodes.size() == 1 && nodes[idx].predicates.empty() &&
-                      nodes[idx].var == nullptr && ranges.empty();
-    cache::Fingerprint filter_fp;
-    std::function<Status()> materialize;
-    if (!pure) {
-      // Pre-filter: the graph pattern + predicates become the bitmap
-      // consumed by one EmbeddingAction (Sec. 5.2/5.3). The cheap
-      // order-independent fingerprint keys the result cache; the
-      // O(vid_upper_bound) bitmap is only built on a miss.
-      filter_fp = cache::FingerprintIdSetUnordered(cand[idx]);
-      materialize = [&]() {
-        bitmap = VertexSetToBitmap(cand[idx], db_->store()->vid_upper_bound());
-        request.filter = FilterView(&bitmap);
-        return Status::OK();
-      };
-    }
-    const bool analyze = explain != nullptr && topk_plan_idx >= 0;
-    const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
-    auto hits = db_->CachedTopK(request, (*query)->size(), filter_fp, cache_bypass_,
-                                materialize);
-    if (!hits.ok()) return hits.status();
-    result.vertices.clear();
-    auto& distances = result.distances ? *result.distances : result.distances.emplace();
-    for (const SearchHit& h : hits->hits) {
-      result.vertices.insert(h.label);
-      distances[h.label] = h.distance;
-    }
-    if (analyze) {
-      add_actual(topk_plan_idx, "filter_candidates",
-                 pure ? "none (pure search)" : std::to_string(cand[idx].size()));
-      if (!pure) {
-        add_actual(topk_plan_idx, "filter_selectivity",
-                   FmtSelectivity(cand[idx].size(), db_->store()->vid_upper_bound()));
+      if (stmt.select_aliases.size() != 1 || alias_index(stmt.select_aliases[0]) < 0) {
+        return Status::SemanticError("select alias must appear in the pattern");
       }
-      add_actual(topk_plan_idx, "rows_out", std::to_string(result.vertices.size()));
-      AddSearchActuals(before, db_->cluster(), /*range=*/false,
-                       &explain->nodes[topk_plan_idx].actuals);
+      if (stmt.select_aliases[0] != dist.lhs->alias) {
+        return Status::SemanticError(
+            "top-k vector search must select the searched alias '" +
+            dist.lhs->alias + "'");
+      }
+      if (nodes[idx].type_id < 0) {
+        return Status::SemanticError("vector search alias must have a vertex type");
+      }
+      auto def = embedding_attr(idx, dist.lhs->attr);
+      if (!def.ok()) return def.status();
+      op.kind = QueryPlan::Op::Kind::kTopK;
+      op.alias = idx;
+      op.attrs = {{db_->schema()->vertex_type(nodes[idx].type_id).name, dist.lhs->attr}};
+      op.info = (*def)->info;
+      op.query_param = dist.rhs->param;
+      op.pure = nodes.size() == 1 && nodes[idx].predicates.empty() &&
+                nodes[idx].var == nullptr && ranges.empty();
+      op.node.details = EmbeddingDetails(db_, op, "ef=" + std::to_string(op.ef),
+                                         op.pure ? "" : "pattern + predicates");
     }
-    return result;
+    const std::string k_str =
+        stmt.has_limit ? (stmt.limit_param.empty() ? std::to_string(stmt.limit)
+                                                   : "$" + stmt.limit_param)
+                       : "all";
+    op.node.label = "EmbeddingAction[Top " + k_str + ", {" + ExprToString(*dist.lhs) +
+                    "}, " + ExprToString(*dist.rhs) + "]";
+    plan.ops.push_back(std::move(op));
+  } else {
+    // ---- Plain graph query: returns the selected alias's candidates ----
+    if (stmt.select_aliases.size() != 1) {
+      return Status::SemanticError("SELECT of two aliases requires a similarity join");
+    }
+    plan.output = alias_index(stmt.select_aliases[0]);
+    if (plan.output < 0) {
+      return Status::SemanticError("unknown select alias '" + stmt.select_aliases[0] +
+                                   "'");
+    }
+    if (stmt.has_limit) plan.limit = static_cast<size_t>(stmt.limit);
   }
+  for (QueryPlan::Op& op : ranges) plan.ops.push_back(std::move(op));
 
-  // ---- Plain graph query: return the selected alias's candidates ----
-  if (stmt.select_aliases.size() != 1) {
-    return Status::SemanticError("SELECT of two aliases requires a similarity join");
+  // ---- Pattern: VertexAction / EdgeAction, printed from the last node down ----
+  for (size_t i = nodes.size(); i-- > 0;) {
+    QueryPlan::Op scan;
+    scan.kind = QueryPlan::Op::Kind::kScan;
+    scan.alias = static_cast<int>(i);
+    std::string preds;
+    for (const Expr* p : nodes[i].predicates) {
+      if (!preds.empty()) preds += " AND ";
+      preds += ExprToString(*p);
+    }
+    const std::string type_name = nodes[i].var != nullptr
+                                      ? "<var>"
+                                      : db_->schema()->vertex_type(nodes[i].type_id).name;
+    scan.node.label = "VertexAction[" + type_name + ":" + nodes[i].name +
+                      (preds.empty() ? "" : " {" + preds + "}") + "]";
+    scan.node.details.push_back(nodes[i].var != nullptr ? "source: vertex-set variable"
+                                                        : "source: type scan");
+    if (!nodes[i].predicates.empty()) {
+      scan.node.details.push_back("predicates: " +
+                                  std::to_string(nodes[i].predicates.size()));
+    }
+    plan.ops.push_back(std::move(scan));
+    if (i == 0) break;
+    QueryPlan::Op edge;
+    edge.kind = QueryPlan::Op::Kind::kSemiJoin;
+    edge.alias = static_cast<int>(i - 1);
+    edge.node.label = "EdgeAction[" + nodes[i - 1].name + " -" +
+                      stmt.pattern.edges[i - 1].edge_type + "- " + nodes[i].name + "]";
+    edge.node.details.push_back("semi-join: forward then backward pass");
+    plan.ops.push_back(std::move(edge));
   }
-  const int out_idx = alias_index(stmt.select_aliases[0]);
-  if (out_idx < 0) {
-    return Status::SemanticError("unknown select alias '" + stmt.select_aliases[0] +
-                                 "'");
-  }
-  result.vertices = cand[out_idx];
-  if (stmt.has_limit && result.vertices.size() > static_cast<size_t>(stmt.limit)) {
-    // Deterministic truncation by vid.
-    std::vector<VertexId> sorted(result.vertices.begin(), result.vertices.end());
-    std::sort(sorted.begin(), sorted.end());
-    sorted.resize(stmt.limit);
-    result.vertices = VertexSet(sorted.begin(), sorted.end());
-  }
-  add_actual(node_plan_idx[out_idx], "rows_returned",
-             std::to_string(result.vertices.size()));
-  return result;
+  obs::RecordSpanMicros("query.plan", plan_timer.ElapsedMicros());
+  return plan;
 }
 
-Result<VertexSet> QueryExecutor::ExecuteVectorSearch(
-    const VectorSearchStmt& stmt, const QueryParams& params, const VarMap& vars,
-    std::unordered_map<VertexId, float>* distance_map, PlanDescription* explain,
-    bool execute) {
-  auto query = ParamAsVector(params, stmt.query_param);
-  if (!query.ok()) return query.status();
-  int64_t k_signed = stmt.k;
-  if (!stmt.k_param.empty()) {
-    auto kd = ParamAsDouble(params, stmt.k_param);
-    if (!kd.ok()) return kd.status();
-    k_signed = static_cast<int64_t>(*kd);
+Result<QueryPlan> QueryExecutor::PlanVectorSearch(const VectorSearchStmt& stmt,
+                                                  const VarMap& vars) const {
+  Timer plan_timer;
+  QueryPlan::Op op;
+  op.kind = QueryPlan::Op::Kind::kTopK;
+  op.attrs = stmt.attrs;
+  op.query_param = stmt.query_param;
+  if (stmt.k_param.empty()) {
+    if (stmt.k <= 0) {
+      return Status::InvalidArgument("VectorSearch k must be positive, got " +
+                                     std::to_string(stmt.k));
+    }
+    op.k = static_cast<size_t>(stmt.k);
   }
-  if (k_signed <= 0) {
-    return Status::InvalidArgument("VectorSearch k must be positive, got " +
-                                   std::to_string(k_signed));
-  }
-  const size_t k = static_cast<size_t>(k_signed);
-  Database::VectorSearchFnOptions options;
-  if (stmt.ef > 0) options.ef = static_cast<size_t>(stmt.ef);
-  options.distance_map = distance_map;
-  options.role = role_;
-  const VertexSet* filter = nullptr;
+  op.k_param = stmt.k_param;
+  if (stmt.ef > 0) op.ef = static_cast<size_t>(stmt.ef);
   if (!stmt.filter_var.empty()) {
     auto it = vars.find(stmt.filter_var);
     if (it == vars.end()) {
       return Status::SemanticError("unknown vertex set variable '" + stmt.filter_var +
                                    "'");
     }
-    filter = &it->second;
+    op.filter = &it->second;
+    op.pure = false;
   }
-  options.filter = filter;
+  std::string attrs_str;
+  const EmbeddingAttrDef* first = nullptr;
+  for (const auto& [type_name, attr] : stmt.attrs) {
+    auto vt = db_->schema()->GetVertexType(type_name);
+    if (!vt.ok()) return vt.status();
+    const EmbeddingAttrDef* def = (*vt)->FindEmbeddingAttr(attr);
+    if (def == nullptr) {
+      return Status::SemanticError("'" + attr + "' is not an embedding attribute of " +
+                                   type_name);
+    }
+    if (first == nullptr) {
+      first = def;
+    } else if (Status st = CheckCompatible(first->info, def->info); !st.ok()) {
+      return Status::SemanticError("attributes " + stmt.attrs[0].first + "." +
+                                   stmt.attrs[0].second + " and " + type_name + "." +
+                                   attr + " are not compatible: " + st.message());
+    }
+    if (!attrs_str.empty()) attrs_str += ", ";
+    attrs_str += type_name + "." + attr;
+  }
+  op.node.label = "EmbeddingAction[VectorSearch k=" +
+                  (op.k_param.empty() ? std::to_string(op.k) : "$" + op.k_param) +
+                  ", {" + attrs_str + "}]";
+  op.node.details =
+      EmbeddingDetails(db_, op, "ef=" + std::to_string(op.ef),
+                       op.pure ? "" : "vertex-set variable '" + stmt.filter_var + "'");
+  QueryPlan plan;
+  plan.ops.push_back(std::move(op));
+  obs::RecordSpanMicros("query.plan", plan_timer.ElapsedMicros());
+  return plan;
+}
 
-  int plan_idx = -1;
-  if (explain != nullptr) {
-    explain->analyzed = execute;
-    PlanNode node;
-    std::string attrs_str;
-    size_t total_segments = 0;
-    for (const auto& [type_name, attr] : stmt.attrs) {
-      if (!attrs_str.empty()) attrs_str += ", ";
-      attrs_str += type_name + "." + attr;
-      total_segments += db_->embeddings()->SegmentsOf(type_name, attr).size();
+Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& params,
+                                            bool analyze) {
+  TV_SPAN("query.execute");
+  TV_COUNTER_INC("tv.query.selects_total");
+  // Records the latency on every exit path.
+  struct SelectTimer {
+    Timer timer;
+    ~SelectTimer() {
+      TV_HISTOGRAM_OBSERVE("tv.query.select_seconds", timer.ElapsedSeconds());
     }
-    node.label =
-        "EmbeddingAction[VectorSearch k=" + std::to_string(k) + ", {" + attrs_str +
-        "}]";
-    node.details.push_back("accuracy: ef=" + std::to_string(options.ef));
-    const size_t num_servers =
-        db_->cluster() != nullptr ? db_->cluster()->num_servers() : 1;
-    node.details.push_back(
-        "fan-out: " + std::to_string(total_segments) + " segment(s) across " +
-        std::to_string(num_servers) + " server(s)" +
-        (num_servers > 1 ? " [MPP scatter/gather]" : ""));
-    if (filter != nullptr) {
-      node.details.push_back("strategy: pre-filter (vertex-set variable '" +
-                             stmt.filter_var + "' -> candidate bitmap)");
-      node.details.push_back(
-          "tier: per segment, brute-force if |bitmap * segment| < " +
-          std::to_string(db_->embeddings()->options().bruteforce_threshold) +
-          ", else HNSW(ef=" + std::to_string(options.ef) + ")");
-    } else {
-      node.details.push_back("strategy: pure vector search (no filter bitmap)");
-    }
-    node.details.push_back(std::string("simd: ") + simd::ActiveIsaName() +
-                           " distance kernels");
-    node.details.push_back(
-        simd::ActiveQuantMode() == simd::QuantMode::kSq8
-            ? "quant: sq8 (rank on int8 codes, rerank " +
-                  std::to_string(simd::DefaultRerankFactor()) + "*k exact fp32)"
-            : std::string("quant: off (exact fp32 scan)"));
-    plan_idx = static_cast<int>(explain->nodes.size());
-    explain->Add(std::move(node));
-  }
-  if (!execute) return VertexSet{};
+  } select_timer;
+  using Kind = QueryPlan::Op::Kind;
+  ExecState st{db_, role_, cache_bypass_, db_->store()->visible_tid(), analyze,
+               std::vector<VertexSet>(plan->aliases.size())};
+  std::vector<ScanCacheProbe> probes(plan->aliases.size());
+  std::vector<QueryPlan::Op>& ops = plan->ops;
 
-  options.bypass_cache = cache_bypass_;
-  const bool analyze = explain != nullptr && plan_idx >= 0;
-  const TraceSnapshot before = analyze ? SnapshotTrace() : TraceSnapshot{};
-  auto out = db_->VectorSearch(stmt.attrs, **query, k, options);
-  if (analyze && out.ok()) {
-    auto& actuals = explain->nodes[plan_idx].actuals;
-    if (filter != nullptr) {
-      actuals.emplace_back("filter_candidates", std::to_string(filter->size()));
+  // ---- Candidate sets: the ops are stored top-down, so pattern order is
+  // reverse op order. Every scan, then the semi-joins' forward pass in
+  // pattern order and their backward pass in reverse ----
+  if (!plan->aliases.empty()) {
+    Timer cand_timer;
+    for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
+      if (op->kind != Kind::kScan) continue;
+      auto base =
+          BaseSet(plan->aliases[op->alias], st.read_tid, params, &probes[op->alias]);
+      if (!base.ok()) return base.status();
+      st.cand[op->alias] = std::move(base).value();
     }
-    actuals.emplace_back("rows_out", std::to_string(out->size()));
-    AddSearchActuals(before, db_->cluster(), /*range=*/false, &actuals);
+    for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
+      if (op->kind == Kind::kSemiJoin) RunSemiJoin(*plan, *op, /*forward=*/true, &st);
+    }
+    for (const QueryPlan::Op& op : ops) {
+      if (op.kind == Kind::kSemiJoin) RunSemiJoin(*plan, op, /*forward=*/false, &st);
+    }
+    obs::RecordSpanMicros("query.candidates", cand_timer.ElapsedMicros());
+    for (QueryPlan::Op& op : ops) {
+      if (analyze && op.kind == Kind::kScan) {
+        const ScanCacheProbe& probe = probes[op.alias];
+        AddActual(&op, "rows", std::to_string(st.cand[op.alias].size()));
+        AddActual(&op, "cache", ScanCacheLabel(probe.hits, probe.misses, probe.bypasses));
+      } else if (analyze && op.kind == Kind::kSemiJoin) {
+        AddActual(&op, "rows_out", std::to_string(st.cand[op.alias + 1].size()));
+      }
+    }
   }
-  return out;
+
+  // ---- Vector ops: range filters in statement order, then the top-k ----
+  SelectResult result;
+  for (QueryPlan::Op& op : ops) {
+    if (op.kind == Kind::kRange) TV_RETURN_NOT_OK(RunRange(&op, params, &st, &result));
+  }
+  for (QueryPlan::Op& op : ops) {
+    if (op.kind == Kind::kTopK) TV_RETURN_NOT_OK(RunTopK(&op, params, &st, &result));
+    if (op.kind == Kind::kSimilarityJoin) {
+      TV_RETURN_NOT_OK(RunSimilarityJoin(*plan, &op, params, &st, &result));
+    }
+  }
+  if (plan->output < 0) return result;
+
+  // ---- Plain graph query: the selected alias's candidates ----
+  result.vertices = std::move(st.cand[plan->output]);
+  if (result.vertices.size() > plan->limit) {
+    // Deterministic truncation by vid.
+    std::vector<VertexId> sorted(result.vertices.begin(), result.vertices.end());
+    std::sort(sorted.begin(), sorted.end());
+    sorted.resize(plan->limit);
+    result.vertices = VertexSet(sorted.begin(), sorted.end());
+  }
+  for (QueryPlan::Op& op : ops) {
+    if (analyze && op.kind == Kind::kScan && op.alias == plan->output) {
+      AddActual(&op, "rows_returned", std::to_string(result.vertices.size()));
+    }
+  }
+  return result;
 }
 
 }  // namespace tigervector

@@ -15,7 +15,8 @@ namespace tigervector {
 namespace {
 
 // Session-level statement prefixes (not part of the GSQL grammar):
-//   PROFILE <script>          -- execute, return the stage breakdown
+//   PROFILE <script>          -- EXPLAIN ANALYZE, cache bypassed, plus the
+//                                stage breakdown
 //   EXPLAIN <script>          -- plan only, nothing executes
 //   EXPLAIN ANALYZE <script>  -- execute, annotate plan nodes with actuals
 enum class QueryPrefix { kNone, kProfile, kExplain, kExplainAnalyze };
@@ -84,10 +85,26 @@ const char* ErrorKind(const Status& status) {
 
 }  // namespace
 
+Result<SelectResult> GsqlSession::RunPlan(Result<QueryPlan> plan,
+                                          const QueryParams& params, bool execute,
+                                          ScriptResult* result) {
+  if (!plan.ok()) return plan.status();
+  SelectResult out;
+  if (execute) {
+    auto r = executor_.Execute(&*plan, params, /*analyze=*/result->explained);
+    if (!r.ok()) return r.status();
+    out = std::move(r).value();
+  }
+  if (result->explained) {
+    if (!result->explain.empty()) result->explain += "\n";
+    result->explain += plan->Render(/*analyzed=*/execute);
+  }
+  return out;
+}
+
 Status GsqlSession::ExecuteStatements(const std::vector<Statement>& statements,
                                       const QueryParams& params, bool execute,
                                       ScriptResult* result) {
-  const bool explaining = result->explained;
   for (const Statement& statement : statements) {
     // Deadline gate between statements: a multi-statement script stops at
     // the first statement boundary after the request's token fires.
@@ -113,15 +130,8 @@ Status GsqlSession::ExecuteStatements(const std::vector<Statement>& statements,
                                                          s->info));
       }
     } else if (const auto* s = std::get_if<SelectStmt>(&statement)) {
-      PlanDescription plan_desc;
-      auto r = executor_.ExecuteSelect(*s, params, vars_,
-                                       explaining ? &plan_desc : nullptr, execute);
+      auto r = RunPlan(executor_.PlanSelect(*s, vars_), params, execute, result);
       if (!r.ok()) return r.status();
-      if (explaining) {
-        if (!result->explain.empty()) result->explain += "\n";
-        result->explain += plan_desc.Render();
-      }
-      result->last_plan = r->plan;
       if (!execute) continue;
       if (r->is_join) {
         result->last_join_pairs = r->pairs;
@@ -149,19 +159,14 @@ Status GsqlSession::ExecuteStatements(const std::vector<Statement>& statements,
         }
       }
     } else if (const auto* s = std::get_if<VectorSearchStmt>(&statement)) {
-      std::unordered_map<VertexId, float> dist_map;
-      PlanDescription plan_desc;
-      auto r = executor_.ExecuteVectorSearch(
-          *s, params, vars_, s->distance_map.empty() ? nullptr : &dist_map,
-          explaining ? &plan_desc : nullptr, execute);
+      auto r = RunPlan(executor_.PlanVectorSearch(*s, vars_), params, execute, result);
       if (!r.ok()) return r.status();
-      if (explaining) {
-        if (!result->explain.empty()) result->explain += "\n";
-        result->explain += plan_desc.Render();
-      }
       if (!execute) continue;
-      if (!s->out_var.empty()) vars_[s->out_var] = std::move(r).value();
-      if (!s->distance_map.empty()) dist_maps_[s->distance_map] = std::move(dist_map);
+      if (!s->out_var.empty()) vars_[s->out_var] = std::move(r->vertices);
+      // A top-k always fills its distance map.
+      if (!s->distance_map.empty()) {
+        dist_maps_[s->distance_map] = std::move(*r->distances);
+      }
     } else if (const auto* s = std::get_if<LoadingJobStmt>(&statement)) {
       if (!execute) continue;
       // Loading jobs run eagerly on creation in this reproduction.
@@ -241,10 +246,11 @@ Result<ScriptResult> GsqlSession::Run(const std::string& script,
   obs::QueryTrace trace;
   obs::ScopedTraceActivation activation(&trace);
 
+  // EXPLAIN renders each statement's plan; EXPLAIN ANALYZE and PROFILE
+  // render it executed, with actuals.
   ScriptResult result;
-  result.explained = prefix == QueryPrefix::kExplain ||
-                     prefix == QueryPrefix::kExplainAnalyze;
-  result.analyzed = prefix == QueryPrefix::kExplainAnalyze;
+  result.explained = prefix != QueryPrefix::kNone;
+  result.analyzed = result.explained && execute;
 
   Timer parse_timer;
   auto statements = ParseScript(body);
@@ -279,11 +285,10 @@ Result<ScriptResult> GsqlSession::Run(const std::string& script,
 #endif  // TIGERVECTOR_NO_METRICS
 
   if (!status.ok()) return status;
+  // PROFILE appends the run's stage table to the analyzed plans.
   if (profiled) {
-    result.profiled = true;
-    result.profile_stage_micros = trace.StageMicros();
-    result.profile_counters = trace.Counters();
-    result.profile = trace.Render();
+    if (!result.explain.empty()) result.explain += "\n";
+    result.explain += trace.Render();
   }
   return result;
 }

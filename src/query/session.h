@@ -2,7 +2,6 @@
 #define TIGERVECTOR_QUERY_SESSION_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -22,22 +21,14 @@ struct ScriptResult {
     bool is_distance_map = false;
   };
   std::vector<Printed> prints;
-  // Plan text of the last SELECT executed (for inspection/tests).
-  std::string last_plan;
   // Pairs of the last similarity join.
   std::vector<SelectResult::Pair> last_join_pairs;
   // Report of the last CREATE LOADING JOB executed.
   LoadReport last_load_report;
-  // Filled when the script was prefixed with PROFILE: per-stage timings
-  // (span name -> total microseconds), per-query counters, and the rendered
-  // breakdown table.
-  bool profiled = false;
-  std::map<std::string, double> profile_stage_micros;
-  std::map<std::string, uint64_t> profile_counters;
-  std::string profile;
-  // Filled when the script was prefixed with EXPLAIN (plan only, nothing
-  // executed) or EXPLAIN ANALYZE (executed; plan nodes annotated with
-  // actuals).
+  // Filled when the script was prefixed with EXPLAIN (plans only, nothing
+  // executed), EXPLAIN ANALYZE (executed; plan nodes annotated with actuals)
+  // or PROFILE (as EXPLAIN ANALYZE with the query cache bypassed, followed by
+  // the run's stage table).
   bool explained = false;
   bool analyzed = false;
   std::string explain;
@@ -83,6 +74,10 @@ class GsqlSession {
   Status ExecuteStatements(const std::vector<Statement>& statements,
                            const QueryParams& params, bool execute,
                            ScriptResult* result);
+  // Executes one planned statement unless `execute` is false, and appends
+  // its rendering to result->explain when the script is explained.
+  Result<SelectResult> RunPlan(Result<QueryPlan> plan, const QueryParams& params,
+                               bool execute, ScriptResult* result);
 
   Database* db_;
   QueryExecutor executor_;

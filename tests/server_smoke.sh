@@ -5,7 +5,9 @@
 #
 #   1. happy path   — boot with --init, load vectors through a loading job,
 #                     run a top-k over the wire, fetch \metrics, and check
-#                     the server-side request counters reconcile.
+#                     the server-side request counters reconcile; then
+#                     EXPLAIN ANALYZE and PROFILE a top-k and check the
+#                     rendered plan and stage table.
 #   2. torn frame   — server armed to tear every response mid-write; the
 #                     client must surface a typed error, never a silently
 #                     truncated result.
@@ -97,6 +99,29 @@ for kind in query ping metrics; do
 done
 grep -q '^tv_net_frames_recv_total' "$WORK/happy.out" \
   || fail "\\metrics did not include tv_net_frames_recv_total"
+
+# EXPLAIN ANALYZE and PROFILE both travel as the rendered, executed plan in
+# the reply's explain text; PROFILE appends the run's stage table.
+"$SHELL_BIN" --connect "127.0.0.1:$PORT" > "$WORK/explain.out" 2>&1 <<'EOF'
+\set qv 1,0,0,0
+EXPLAIN ANALYZE R = SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 2; PRINT R;
+\quit
+EOF
+"$SHELL_BIN" --connect "127.0.0.1:$PORT" > "$WORK/profile.out" 2>&1 <<'EOF'
+\set qv 1,0,0,0
+PROFILE R = SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 2; PRINT R;
+\quit
+EOF
+for out in explain profile; do
+  grep -q -- '--- plan (analyzed) ---' "$WORK/$out.out" \
+    || fail "$out: no '--- plan (analyzed) ---' header: $(cat "$WORK/$out.out")"
+  grep -q 'EmbeddingAction\[Top' "$WORK/$out.out" \
+    || fail "$out: plan has no EmbeddingAction[Top node"
+  grep -q '^    \* rows_out: ' "$WORK/$out.out" \
+    || fail "$out: plan has no '* rows_out:' actual"
+done
+grep -Eq '^query\.parse +[0-9]' "$WORK/profile.out" \
+  || fail "PROFILE output has no query.parse stage row: $(cat "$WORK/profile.out")"
 
 stop_server
 

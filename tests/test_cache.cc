@@ -9,6 +9,7 @@
 
 #include "cache/query_cache.h"
 #include "obs/metrics.h"
+#include "plan_text.h"
 #include "query/session.h"
 
 namespace tigervector {
@@ -462,12 +463,16 @@ TEST_F(CacheFixture, ProfileAlwaysBypassesCache) {
   auto prof =
       session_->Run(std::string("PROFILE ") + kPureTopK, Params({21, 0, 0, 0}));
   ASSERT_TRUE(prof.ok()) << prof.status().ToString();
-  ASSERT_TRUE(prof->profiled);
-  // The trace files the top-k cache outcome: the profiled run bypassed the
-  // warm entry and did the HNSW work itself.
-  EXPECT_EQ(prof->profile_counters["cache.topk_bypass"], 1u) << prof->profile;
-  EXPECT_EQ(prof->profile_counters.count("cache.topk_hit"), 0u) << prof->profile;
-  EXPECT_GT(prof->profile_counters["hnsw.distance_evals"], 0u) << prof->profile;
+  ASSERT_TRUE(prof->analyzed);
+  // The plan's top-k actuals and the trace's counter rows both show the
+  // outcome: the profiled run bypassed the warm entry and did the HNSW work
+  // itself.
+  const std::string& text = prof->explain;
+  EXPECT_TRUE(Has(text, "* cache: bypass")) << text;
+  EXPECT_FALSE(Has(text, "* cache: hit")) << text;
+  EXPECT_GT(PlanTextValue(text, "* hnsw_distance_evals:"), 0.0) << text;
+  EXPECT_EQ(PlanTextValue(text, "cache.topk_bypass"), 1.0) << text;
+  EXPECT_EQ(PlanTextValue(text, "cache.topk_hit"), -1.0) << text;
   // The forced bypass is scoped to the PROFILE run: the next plain query on
   // the same session is served from the still-warm cache.
   EXPECT_TRUE(Has(Analyze(kPureTopK, Params({21, 0, 0, 0})), "* cache: hit"));

@@ -480,6 +480,23 @@ TEST_F(EmbeddingServiceFixture, GetEmbeddingLatestValue) {
   EXPECT_EQ(buf[0], 9.0f);
 }
 
+// A reader pinned at an older horizon (a similarity join reading at its
+// statement's snapshot) sees the embedding as of that horizon.
+TEST_F(EmbeddingServiceFixture, GetEmbeddingAtReadTid) {
+  const VertexId a = AddPost("en", {1, 2, 3, 4});
+  const Tid first = store_->visible_tid();
+  {
+    Transaction txn(store_.get());
+    ASSERT_TRUE(txn.SetEmbedding(a, "Post", "emb", {9, 9, 9, 9}).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  float buf[4];
+  ASSERT_TRUE(service_->GetEmbedding("Post", "emb", a, buf, first).ok());
+  EXPECT_EQ(buf[0], 1.0f);
+  ASSERT_TRUE(service_->GetEmbedding("Post", "emb", a, buf).ok());
+  EXPECT_EQ(buf[0], 9.0f);
+}
+
 TEST_F(EmbeddingServiceFixture, AtomicGraphPlusVectorCommit) {
   // A transaction touching both a scalar attribute and an embedding becomes
   // visible atomically: before commit neither is observable.

@@ -8,7 +8,9 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan_text.h"
 #include "query/session.h"
+#include "simd/sq8.h"
 
 namespace tigervector {
 namespace {
@@ -423,6 +425,28 @@ TEST_F(ExplainFixture, RangeShape) {
   EXPECT_TRUE(Has(an->explain, "* rows_out:")) << an->explain;
 }
 
+// SELECT's top-k and VectorSearch() share one EmbeddingAction detail builder,
+// so both state the quantization the attribute's schema pin selects, even
+// when the process TV_QUANT mode says the opposite.
+TEST_F(ExplainFixture, QuantDetailFollowsSchemaPinOnBothSearchForms) {
+  const bool process_sq8 = simd::ActiveQuantMode() == simd::QuantMode::kSq8;
+  auto ddl = session_->Run(
+      std::string("CREATE VERTEX Doc (title STRING);"
+                  "ALTER VERTEX Doc ADD EMBEDDING ATTRIBUTE emb (DIMENSION = 4,"
+                  " MODEL = M, INDEX = HNSW, DATATYPE = FLOAT, METRIC = L2, QUANT = ") +
+      (process_sq8 ? "OFF" : "SQ8") + ");");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  const std::string want = process_sq8 ? "    - quant: off (exact fp32 scan)\n"
+                                       : "    - quant: sq8 (rank on int8 codes";
+  for (const char* script :
+       {"R = VectorSearch({Doc.emb}, $qv, 2); PRINT R;",
+        "R = SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 2; PRINT R;"}) {
+    auto ex = session_->Run(std::string("EXPLAIN ") + script, Params({0, 0, 0, 0}));
+    ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+    EXPECT_TRUE(Has(ex->explain, want)) << ex->explain;
+  }
+}
+
 // EXPLAIN ANALYZE actuals must reconcile with PROFILE: the same deterministic
 // search does the same HNSW work, and both report it from the same trace
 // counters.
@@ -438,10 +462,15 @@ TEST_F(ExplainFixture, AnalyzeActualsReconcileWithProfile) {
   EXPECT_GT(analyze_evals, 0u);
   auto prof = session_->Run(std::string("PROFILE ") + kPureTopK, Params({21, 0, 0, 0}));
   ASSERT_TRUE(prof.ok()) << prof.status().ToString();
-  ASSERT_TRUE(prof->profiled);
-  auto it = prof->profile_counters.find("hnsw.distance_evals");
-  ASSERT_NE(it, prof->profile_counters.end());
-  EXPECT_EQ(it->second, analyze_evals);
+  ASSERT_TRUE(prof->analyzed);
+  // PROFILE renders the same actual on its plan and the raw trace counter in
+  // its stage table.
+  EXPECT_EQ(PlanTextValue(prof->explain, "* hnsw_distance_evals:"),
+            static_cast<double>(analyze_evals))
+      << prof->explain;
+  EXPECT_EQ(PlanTextValue(prof->explain, "hnsw.distance_evals"),
+            static_cast<double>(analyze_evals))
+      << prof->explain;
 }
 
 #if !defined(TIGERVECTOR_NO_METRICS)

@@ -147,16 +147,11 @@ TEST(NetProtocolTest, ScriptResultRoundTripAllFields) {
   printed.distances = {{3, 0.5f}, {5, 1.25f}};
   printed.is_distance_map = true;
   result.prints.push_back(printed);
-  result.last_plan = "EmbeddingAction[Top 2]";
   result.last_join_pairs.push_back({1, 2, 0.125f});
   result.last_load_report.vertices_loaded = 7;
   result.last_load_report.embeddings_loaded = 6;
   result.last_load_report.rows_skipped = 1;
   result.last_load_report.warnings = {"w1", "w2"};
-  result.profiled = true;
-  result.profile_stage_micros = {{"execute", 12.5}};
-  result.profile_counters = {{"hnsw.hops", 42}};
-  result.profile = "table";
   result.explained = true;
   result.analyzed = true;
   result.explain = "plan text";
@@ -170,17 +165,12 @@ TEST(NetProtocolTest, ScriptResultRoundTripAllFields) {
   EXPECT_EQ(decoded.prints[0].vertices, printed.vertices);
   EXPECT_EQ(decoded.prints[0].distances, printed.distances);
   EXPECT_TRUE(decoded.prints[0].is_distance_map);
-  EXPECT_EQ(decoded.last_plan, result.last_plan);
   ASSERT_EQ(decoded.last_join_pairs.size(), 1u);
   EXPECT_EQ(decoded.last_join_pairs[0].source, 1u);
   EXPECT_EQ(decoded.last_join_pairs[0].target, 2u);
   EXPECT_EQ(decoded.last_join_pairs[0].distance, 0.125f);
   EXPECT_EQ(decoded.last_load_report.vertices_loaded, 7u);
   EXPECT_EQ(decoded.last_load_report.warnings, result.last_load_report.warnings);
-  EXPECT_TRUE(decoded.profiled);
-  EXPECT_EQ(decoded.profile_stage_micros, result.profile_stage_micros);
-  EXPECT_EQ(decoded.profile_counters, result.profile_counters);
-  EXPECT_EQ(decoded.profile, "table");
   EXPECT_TRUE(decoded.explained);
   EXPECT_TRUE(decoded.analyzed);
   EXPECT_EQ(decoded.explain, "plan text");
@@ -472,7 +462,6 @@ TEST_F(NetServerFixture, FiveQueryShapesBitForBitParity) {
       EXPECT_EQ(remote_result->prints[i].is_distance_map,
                 local_result->prints[i].is_distance_map);
     }
-    EXPECT_EQ(remote_result->last_plan, local_result->last_plan);
     ASSERT_EQ(remote_result->last_join_pairs.size(),
               local_result->last_join_pairs.size());
     for (size_t i = 0; i < local_result->last_join_pairs.size(); ++i) {
@@ -483,6 +472,15 @@ TEST_F(NetServerFixture, FiveQueryShapesBitForBitParity) {
       EXPECT_EQ(remote_result->last_join_pairs[i].distance,
                 local_result->last_join_pairs[i].distance);
     }
+    // Plans travel as EXPLAIN text. Both sessions now hold the script's
+    // variables, so even the composed shape plans without executing.
+    const std::string explain = std::string("EXPLAIN ") + shape.script;
+    auto local_plan = local.Run(explain, Params(shape.qv));
+    ASSERT_TRUE(local_plan.ok()) << local_plan.status().ToString();
+    auto remote_plan = client.Run(explain, Params(shape.qv));
+    ASSERT_TRUE(remote_plan.ok()) << remote_plan.status().ToString();
+    EXPECT_FALSE(local_plan->explain.empty());
+    EXPECT_EQ(remote_plan->explain, local_plan->explain);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "core/database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan_text.h"
 #include "query/session.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -138,8 +139,14 @@ TEST(ObsTraceTest, CrossThreadActivationJoinsSameTrace) {
       TV_SPAN("worker.stage");
     });
   }
-  EXPECT_EQ(trace.Spans().size(), 8u);
-  EXPECT_GT(trace.StageMicros()["worker.stage"], 0.0);
+  const std::vector<obs::QueryTrace::Span> spans = trace.Spans();
+  EXPECT_EQ(spans.size(), 8u);
+  double micros = 0;
+  for (const obs::QueryTrace::Span& span : spans) {
+    EXPECT_EQ(span.name, "worker.stage");
+    micros += span.micros;
+  }
+  EXPECT_GT(micros, 0.0);
 }
 
 #endif  // !TIGERVECTOR_NO_METRICS
@@ -310,13 +317,16 @@ TEST_F(ObsProfileFixture, ProfileTopKReportsHnswSearchTime) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->prints.size(), 1u);
   EXPECT_EQ(result->prints[0].vertices.size(), 5u);
-  EXPECT_TRUE(result->profiled);
-  EXPECT_GT(result->profile_stage_micros["query.parse"], 0.0);
-  EXPECT_GT(result->profile_counters["hnsw.distance_evals"], 0u);
+  // PROFILE renders the analyzed plan, then the run's stage table.
+  const std::string& text = result->explain;
+  EXPECT_TRUE(result->explained && result->analyzed);
+  EXPECT_NE(text.find("EmbeddingAction[Top 5"), std::string::npos) << text;
+  EXPECT_GT(PlanTextValue(text, "* hnsw_distance_evals:"), 0.0) << text;
+  EXPECT_GT(PlanTextValue(text, "query.parse"), 0.0) << text;
+  EXPECT_GT(PlanTextValue(text, "hnsw.distance_evals"), 0.0) << text;
 #if !defined(TIGERVECTOR_NO_METRICS)
-  EXPECT_GT(result->profile_stage_micros["hnsw.search"], 0.0);
-  EXPECT_GT(result->profile_stage_micros["query.execute"], 0.0);
-  EXPECT_NE(result->profile.find("hnsw.search"), std::string::npos);
+  EXPECT_GT(PlanTextValue(text, "hnsw.search"), 0.0) << text;
+  EXPECT_GT(PlanTextValue(text, "query.execute"), 0.0) << text;
 #endif
 }
 
@@ -328,14 +338,15 @@ TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
       " ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 2; PRINT R;",
       params);
   ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
-  EXPECT_TRUE(lowered->profiled);
+  EXPECT_TRUE(lowered->analyzed);
+  EXPECT_GE(PlanTextValue(lowered->explain, "query.parse"), 0.0) << lowered->explain;
   auto plain = session_->Run(
       "R = SELECT s FROM (s:Item)"
       " ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 2; PRINT R;",
       params);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_FALSE(plain->profiled);
-  EXPECT_TRUE(plain->profile.empty());
+  EXPECT_FALSE(plain->explained);
+  EXPECT_TRUE(plain->explain.empty());
 }
 
 #if !defined(TIGERVECTOR_NO_METRICS)

@@ -284,19 +284,19 @@ class QuerySessionFixture : public ::testing::Test {
 
 TEST_F(QuerySessionFixture, PureTopKSearch) {
   auto result = session_->Run(
-      "R = SELECT s FROM (s:Post)"
+      "EXPLAIN ANALYZE R = SELECT s FROM (s:Post)"
       " ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 2; PRINT R;",
       Params({21, 0, 0, 0}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->prints.size(), 1u);
   // Post with embedding 21 = person 2's post j=1.
   EXPECT_EQ(result->prints[0].vertices.size(), 2u);
-  EXPECT_NE(result->last_plan.find("EmbeddingAction[Top 2"), std::string::npos);
+  EXPECT_NE(result->explain.find("EmbeddingAction[Top 2"), std::string::npos);
 }
 
 TEST_F(QuerySessionFixture, FilteredSearchByAttribute) {
   auto result = session_->Run(
-      "R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
+      "EXPLAIN ANALYZE R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
       " ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 4; PRINT R;",
       Params({0, 0, 0, 0}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -305,7 +305,7 @@ TEST_F(QuerySessionFixture, FilteredSearchByAttribute) {
                          result->prints[0].vertices.end());
   std::set<VertexId> want = {posts_[0], posts_[3], posts_[6], posts_[9]};
   EXPECT_EQ(got, want);
-  EXPECT_NE(result->last_plan.find("VertexAction[Post:s"), std::string::npos);
+  EXPECT_NE(result->explain.find("VertexAction[Post:s"), std::string::npos);
 }
 
 TEST_F(QuerySessionFixture, GraphPatternVectorSearch) {
@@ -608,12 +608,12 @@ TEST_F(QuerySessionFixture, EmptyAttributeSearchReturnsEmpty) {
 
 TEST_F(QuerySessionFixture, PlanTextShapeMatchesPaper) {
   auto result = session_->Run(
-      "R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
+      "EXPLAIN R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
       " ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 5;",
       Params({0, 0, 0, 0}));
   ASSERT_TRUE(result.ok());
   // Bottom-up plan: EmbeddingAction on top of VertexAction (Sec. 5.2).
-  const std::string& plan = result->last_plan;
+  const std::string& plan = result->explain;
   const size_t emb = plan.find("EmbeddingAction[Top 5, {s.content_emb}, $qv]");
   const size_t vertex = plan.find("VertexAction[Post:s");
   ASSERT_NE(emb, std::string::npos) << plan;
@@ -621,7 +621,31 @@ TEST_F(QuerySessionFixture, PlanTextShapeMatchesPaper) {
   EXPECT_LT(emb, vertex);
 }
 
-// --- ExecuteVectorSearch error paths -----------------------------------
+// Planning runs every check that needs only the statement and the schema,
+// so plain EXPLAIN rejects a statement exactly as EXPLAIN ANALYZE does.
+TEST_F(QuerySessionFixture, ExplainRejectsWhatAnalyzeRejects) {
+  ASSERT_TRUE(session_->Run("CREATE UNDIRECTED EDGE near (FROM Post, TO Post);").ok());
+  const char* unrunnable[] = {
+      // The top-k searches s but selects t.
+      "SELECT t FROM (s:Post) -[:near]- (t:Post)"
+      " ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 2;",
+      // A similarity join must select both endpoints.
+      "SELECT s FROM (s:Post) -[:near]- (t:Post)"
+      " ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 2;",
+  };
+  for (const char* script : unrunnable) {
+    SCOPED_TRACE(script);
+    auto analyzed =
+        session_->Run(std::string("EXPLAIN ANALYZE ") + script, Params({0, 0, 0, 0}));
+    ASSERT_FALSE(analyzed.ok());
+    EXPECT_EQ(analyzed.status().code(), StatusCode::kSemanticError);
+    auto planned = session_->Run(std::string("EXPLAIN ") + script, Params({0, 0, 0, 0}));
+    ASSERT_FALSE(planned.ok());
+    EXPECT_EQ(planned.status().ToString(), analyzed.status().ToString());
+  }
+}
+
+// --- VectorSearch() error paths -----------------------------------------
 
 TEST_F(QuerySessionFixture, WrongQueryVectorDimensionFails) {
   // space1 is 4-dimensional; a 3-float query must be rejected up front on

@@ -230,9 +230,6 @@ void PrintResult(const ScriptResult& result) {
     std::printf("--- plan%s ---\n%s", result.analyzed ? " (analyzed)" : "",
                 result.explain.c_str());
   }
-  if (result.profiled) {
-    std::printf("--- profile ---\n%s", result.profile.c_str());
-  }
 }
 
 // Remote shell loop: statements and observability commands travel over the
