@@ -328,18 +328,25 @@ bool EmbeddingSegment::OverriddenLocked(VertexId id, Tid read_tid) const {
   return it != pending_.first_pending_tid.end() && it->second <= read_tid;
 }
 
-EmbeddingSegment::PendingView EmbeddingSegment::VisiblePendingLocked(
-    Tid read_tid) const {
-  PendingView latest;
+template <typename Fn>
+void EmbeddingSegment::ForEachVisibleLocked(Tid read_tid, Fn&& fn) const {
   for (const DeltaFile& f : pending_.sealed) {
     for (const VectorDelta& d : f.deltas) {
-      if (d.tid <= read_tid) latest[d.id] = &d;
+      if (d.tid <= read_tid) fn(d);
     }
   }
   for (const VectorDelta& d : pending_.in_memory) {
-    if (d.tid <= read_tid) latest[d.id] = &d;
+    if (d.tid <= read_tid) fn(d);
   }
-  return latest;
+}
+
+EmbeddingSegment::Snapshot EmbeddingSegment::TakeSnapshot(Tid read_tid) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  Snapshot snap{index_, {}};
+  ForEachVisibleLocked(read_tid, [&](const VectorDelta& d) {
+    snap.pending.insert_or_assign(d.id, d);
+  });
+  return snap;
 }
 
 void EmbeddingSegment::RebuildFirstPendingLocked() {
@@ -360,9 +367,8 @@ namespace {
 // check, handed to the HNSW index as its validity predicate.
 struct CompositeFilterCtx {
   const FilterView* user_filter;
-  // Set of overridden ids, precomputed under the segment lock so the
-  // predicate itself is lock-free.
-  const std::unordered_map<VertexId, const VectorDelta*>* overrides;
+  // Overridden ids, from the search's snapshot.
+  const std::unordered_map<VertexId, VectorDelta>* overrides;
 };
 
 bool CompositeAccepts(const void* raw_ctx, uint64_t id) {
@@ -381,38 +387,31 @@ bool EmbeddingSegment::UseBruteForce(const SearchOptions& options) const {
          options.bruteforce_threshold;
 }
 
-void EmbeddingSegment::OverlayDeltasLocked(const float* query,
-                                           const PendingView& overrides,
-                                           const FilterView& filter, size_t k,
-                                           float max_distance,
-                                           SearchOutput* out) const {
+void EmbeddingSegment::OverlayDeltas(const float* query, const PendingView& overrides,
+                                     const FilterView& filter, size_t k,
+                                     float max_distance, SearchOutput* out) const {
   const ScanQuery q{info_.metric, info_.dimension, query};
   ScanCounts counts;
   const std::vector<SearchHit> delta_hits =
       ExactScan(q, k, max_distance, filter, &counts, [&](auto&& emit) {
         for (const auto& [id, delta] : overrides) {
-          if (delta->action != VectorDelta::Action::kUpsert) continue;
-          if (!emit(id, delta->value.data(), nullptr, 0)) return;
+          if (delta.action != VectorDelta::Action::kUpsert) continue;
+          if (!emit(id, delta.value.data(), nullptr, 0)) return;
         }
       });
   out->delta_candidates = counts.scored;
   // The composite filter kept overridden ids out of the index hits, so the
   // two lists are disjoint.
   out->hits.insert(out->hits.end(), delta_hits.begin(), delta_hits.end());
-  std::sort(out->hits.begin(), out->hits.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
+  std::sort(out->hits.begin(), out->hits.end());
   if (out->hits.size() > k) out->hits.resize(k);
 }
 
 EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
     const float* query, const SearchOptions& options) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const Snapshot snap = TakeSnapshot(options.read_tid);
   SearchOutput out;
-  const PendingView overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{&options.filter, &overrides};
+  CompositeFilterCtx ctx{&options.filter, &snap.pending};
   FilterView composite(&CompositeAccepts, &ctx);
   out.used_bruteforce = UseBruteForce(options);
   {
@@ -421,22 +420,21 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
     // back how many candidates the index actually reranked.
     simd::ScopedQuantQuery quant_scope(true, options.rerank_factor);
     out.hits = out.used_bruteforce
-                   ? index_->BruteForceSearch(query, options.k, composite)
-                   : index_->TopKSearch(query, options.k, options.ef, composite);
+                   ? snap.index->BruteForceSearch(query, options.k, composite)
+                   : snap.index->TopKSearch(query, options.k, options.ef, composite);
     out.used_quant = quant_scope.quant_scans() > 0;
     out.reranked = quant_scope.reranked();
   }
-  OverlayDeltasLocked(query, overrides, options.filter, options.k,
-                      std::numeric_limits<float>::infinity(), &out);
+  OverlayDeltas(query, snap.pending, options.filter, options.k,
+                std::numeric_limits<float>::infinity(), &out);
   return out;
 }
 
 EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
     const float* query, float threshold, const SearchOptions& options) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const Snapshot snap = TakeSnapshot(options.read_tid);
   SearchOutput out;
-  const PendingView overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{&options.filter, &overrides};
+  CompositeFilterCtx ctx{&options.filter, &snap.pending};
   FilterView composite(&CompositeAccepts, &ctx);
   // Range answers stay exact: the brute-force tier is an exact fp32 range
   // scan, which the differential harness relies on for its strict oracle
@@ -444,30 +442,36 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
   constexpr size_t kAll = std::numeric_limits<size_t>::max();
   out.used_bruteforce = UseBruteForce(options);
   out.hits = out.used_bruteforce
-                 ? index_->BruteForceSearch(query, kAll, composite, threshold)
-                 : index_->RangeSearch(query, threshold,
-                                       std::max<size_t>(options.k, 16), options.ef,
-                                       composite);
-  OverlayDeltasLocked(query, overrides, options.filter, kAll, threshold, &out);
+                 ? snap.index->BruteForceSearch(query, kAll, composite, threshold)
+                 : snap.index->RangeSearch(query, threshold,
+                                           std::max<size_t>(options.k, 16), options.ef,
+                                           composite);
+  OverlayDeltas(query, snap.pending, options.filter, kAll, threshold, &out);
   return out;
 }
 
 Status EmbeddingSegment::GetEmbedding(VertexId vid, Tid read_tid, float* out) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (OverriddenLocked(vid, read_tid)) {
-    const auto overrides = VisiblePendingLocked(read_tid);
-    auto it = overrides.find(vid);
-    if (it != overrides.end()) {
-      if (it->second->action == VectorDelta::Action::kDelete) {
-        return Status::NotFound("embedding for vertex " + std::to_string(vid) +
-                                " was deleted");
+  std::shared_ptr<const VectorIndex> index;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    if (OverriddenLocked(vid, read_tid)) {
+      const VectorDelta* latest = nullptr;
+      ForEachVisibleLocked(read_tid, [&](const VectorDelta& delta) {
+        if (delta.id == vid) latest = &delta;
+      });
+      if (latest != nullptr) {
+        if (latest->action == VectorDelta::Action::kDelete) {
+          return Status::NotFound("embedding for vertex " + std::to_string(vid) +
+                                  " was deleted");
+        }
+        std::memcpy(out, latest->value.data(), info_.dimension * sizeof(float));
+        return Status::OK();
       }
-      std::memcpy(out, it->second->value.data(), info_.dimension * sizeof(float));
-      return Status::OK();
     }
+    index = index_;
   }
-  if (index_->Contains(vid) && !index_->IsDeleted(vid)) {
-    return index_->GetEmbedding(vid, out);
+  if (index->Contains(vid) && !index->IsDeleted(vid)) {
+    return index->GetEmbedding(vid, out);
   }
   return Status::NotFound("no embedding for vertex " + std::to_string(vid));
 }

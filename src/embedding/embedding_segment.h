@@ -159,15 +159,28 @@ class EmbeddingSegment {
     std::unordered_map<VertexId, Tid> first_pending_tid;
   };
 
-  // Latest visible pending delta per id.
-  using PendingView = std::unordered_map<VertexId, const VectorDelta*>;
+  // Latest visible pending delta per id. The rows are copies: a search
+  // reads them after releasing mu_, while ApplyDelta reallocates in_memory
+  // and IndexMerge erases sealed files.
+  using PendingView = std::unordered_map<VertexId, VectorDelta>;
+
+  // What a search reads, taken under mu_ and used after releasing it: the
+  // index (kept alive across a RebuildIndex swap) and the deltas visible at
+  // the search's read_tid.
+  struct Snapshot {
+    std::shared_ptr<const VectorIndex> index;
+    PendingView pending;
+  };
+  Snapshot TakeSnapshot(Tid read_tid) const;
 
   // True when the index entry for `id` is superseded by a pending delta
   // visible at read_tid.
   bool OverriddenLocked(VertexId id, Tid read_tid) const;
 
-  // Delta-store scan producing the PendingView at read_tid.
-  PendingView VisiblePendingLocked(Tid read_tid) const;
+  // Calls fn(delta) for every pending delta visible at read_tid, in commit
+  // order, so the last call for an id is its latest visible delta.
+  template <typename Fn>
+  void ForEachVisibleLocked(Tid read_tid, Fn&& fn) const;
 
   // Search tier: when the filter bitmap leaves fewer than
   // bruteforce_threshold valid points in this segment's id range, an exact
@@ -179,9 +192,9 @@ class EmbeddingSegment {
   // `filter` with the same exact scan as the brute-force tier, merges them
   // into out->hits (the index hits), and keeps the k nearest with distance
   // < max_distance, sorted by (distance, label).
-  void OverlayDeltasLocked(const float* query, const PendingView& overrides,
-                           const FilterView& filter, size_t k, float max_distance,
-                           SearchOutput* out) const;
+  void OverlayDeltas(const float* query, const PendingView& overrides,
+                     const FilterView& filter, size_t k, float max_distance,
+                     SearchOutput* out) const;
 
   void RebuildFirstPendingLocked();
 
@@ -192,13 +205,18 @@ class EmbeddingSegment {
   uint32_t capacity_;
   EmbeddingTypeInfo info_;
   HnswParams index_params_;
-  // Shared so IndexMerge can run UpdateItems outside the segment lock while
-  // a concurrent RebuildIndex swaps in a fresh index: the merge keeps the
-  // old index alive and detects the swap before retiring delta files.
+  // Shared so searches and IndexMerge can use the index outside the segment
+  // lock while a concurrent RebuildIndex swaps in a fresh one: they keep the
+  // old index alive, and the merge detects the swap before retiring delta
+  // files.
   std::shared_ptr<VectorIndex> index_;
   Tid merged_tid_ = 0;
 
-  mutable std::shared_mutex mu_;  // guards PendingState + merged_tid_
+  // Guards pending_, merged_tid_ and the index_ pointer (not the index's
+  // contents, which it locks itself). Searches hold it shared only while
+  // they take their Snapshot, so a commit's ApplyDelta never waits for an
+  // index walk.
+  mutable std::shared_mutex mu_;
   PendingState pending_;
 };
 

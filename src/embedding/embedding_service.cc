@@ -258,11 +258,7 @@ Result<VectorSearchResult> EmbeddingService::RangeSearch(
   if (!result.ok()) return result;
   // See TopKSearch: an expired deadline discards partial range results.
   TV_RETURN_NOT_OK(CancelCheckStatus());
-  std::sort(result->hits.begin(), result->hits.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
+  std::sort(result->hits.begin(), result->hits.end());
   TV_HISTOGRAM_OBSERVE("tv.query.vector_search_seconds", timer.ElapsedSeconds());
   return result;
 }

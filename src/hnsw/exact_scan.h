@@ -66,9 +66,7 @@ inline std::vector<SearchHit> ExactRerank(const ScanQuery& q, size_t k,
   }
   simd::NoteQuantScan(candidates.size());
   if (counts != nullptr) counts->reranked += candidates.size();
-  std::sort(out.begin(), out.end(), [](const SearchHit& a, const SearchHit& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.label < b.label;
-  });
+  std::sort(out.begin(), out.end());
   if (out.size() > k) out.resize(k);
   return out;
 }

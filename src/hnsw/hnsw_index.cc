@@ -689,8 +689,13 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
   }
   std::vector<Candidate> cands =
       SearchLayer(query, curr, std::max(ef, budget), 0, use_quant ? &qv : nullptr);
+  // The beam is ordered by distance alone, so which of several equidistant
+  // nodes reach the cut depends on internal ids. Collect past the budget
+  // while candidates tie the last one kept, then cut by (distance, label)
+  // like every exact scan and the segment merge.
   std::vector<ScanRow> survivors;
   for (const Candidate& c : cands) {
+    if (out.size() >= budget && c.distance > out.back().distance) break;
     uint64_t label;
     {
       std::lock_guard<std::mutex> lock(node_locks_[c.id]);
@@ -701,9 +706,12 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
     if (!filter.Accepts(label)) continue;
     out.push_back(SearchHit{c.distance, label});
     if (use_quant) survivors.push_back(ScanRow{label, DataAt(c.id)});
-    if (out.size() >= budget) break;
   }
-  if (!use_quant) return out;
+  if (!use_quant) {
+    std::sort(out.begin(), out.end());
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
   ScanCounts counts;
   out = ExactRerank(ScanQuery{params_.metric, params_.dim, query}, k, survivors, &counts);
   CountDistComps(counts.reranked);

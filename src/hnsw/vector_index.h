@@ -18,10 +18,14 @@ namespace tigervector {
 class ThreadPool;
 
 // A single search hit: label of the stored item plus its distance to the
-// query under the index metric.
+// query under the index metric. Ordered by (distance, label), the one
+// tie-break of every exact scan, HNSW cut, segment and cluster merge.
 struct SearchHit {
   float distance;
   uint64_t label;
+  bool operator<(const SearchHit& other) const {
+    return distance != other.distance ? distance < other.distance : label < other.label;
+  }
 };
 
 // One record of a batched index maintenance pass (paper Sec. 4.4:

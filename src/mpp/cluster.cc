@@ -172,11 +172,7 @@ Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& req
       merged.hits.push_back(SearchHit{e.distance, e.id});
     }
   } else {
-    std::sort(merged.hits.begin(), merged.hits.end(),
-              [](const SearchHit& a, const SearchHit& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                return a.label < b.label;
-              });
+    std::sort(merged.hits.begin(), merged.hits.end());
   }
 
   const double merge_seconds = merge_timer.ElapsedSeconds();

@@ -215,6 +215,18 @@ void AddSearchActuals(const TraceSnapshot& before, const Cluster* cluster, bool 
   add("mpp_merge", FmtMillis(seconds["cluster.merge"]));
 }
 
+// The read check of a typed pattern node: a type scan, and a pure top-k that
+// searches the type without scanning it, fail alike for a role that cannot
+// read the type.
+Status CheckCanRead(Database* db, const std::string& role, int type_id) {
+  if (db->access()->CanRead(role, static_cast<VertexTypeId>(type_id))) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "permission denied: role '" + role + "' cannot read vertex type " +
+      db->schema()->vertex_type(type_id).name);
+}
+
 }  // namespace
 
 std::string QueryPlan::Render(bool analyzed) const {
@@ -405,11 +417,7 @@ Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_
     }
     return base;
   }
-  if (!db_->access()->CanRead(role_, static_cast<VertexTypeId>(node.type_id))) {
-    return Status::InvalidArgument(
-        "permission denied: role '" + role_ + "' cannot read vertex type " +
-        db_->schema()->vertex_type(node.type_id).name);
-  }
+  TV_RETURN_NOT_OK(CheckCanRead(db_, role_, node.type_id));
   cache::QueryCache* cache = db_->cache();
   const bool cacheable = cache != nullptr && cache->enabled() && !cache_bypass_;
   // Predicate fingerprint: type + normalized predicate text + the values of
@@ -669,9 +677,15 @@ Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
   return Status::OK();
 }
 
-Status RunTopK(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
-               SelectResult* result) {
+Status RunTopK(const QueryPlan& plan, QueryPlan::Op* op, const QueryParams& params,
+               ExecState* st, SelectResult* result) {
   TV_SPAN("query.topk");
+  const bool from_pattern = op->alias >= 0;
+  // A pure top-k's alias was never scanned (PlanSelect plans no scan for
+  // it), so the scan's read check runs here.
+  if (from_pattern && op->pure) {
+    TV_RETURN_NOT_OK(CheckCanRead(st->db, st->role, plan.aliases[op->alias].type_id));
+  }
   auto k = ResolveK(*op, params);
   if (!k.ok()) return k.status();
   auto query = ParamAsVector(params, op->query_param);
@@ -679,7 +693,6 @@ Status RunTopK(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
   // A SELECT's filter is its pattern's candidates: graph pattern and
   // predicates become the bitmap one EmbeddingAction consumes (Sec.
   // 5.2/5.3). VectorSearch() takes a vertex-set variable instead.
-  const bool from_pattern = op->alias >= 0;
   Database::VectorSearchFnOptions options;
   options.filter =
       from_pattern ? (op->pure ? nullptr : &st->cand[op->alias]) : op->filter;
@@ -991,9 +1004,13 @@ Result<QueryPlan> QueryExecutor::PlanSelect(const SelectStmt& stmt,
     if (stmt.has_limit) plan.limit = static_cast<size_t>(stmt.limit);
   }
   for (QueryPlan::Op& op : ranges) plan.ops.push_back(std::move(op));
+  // A pure top-k reads no candidates: its one alias needs no scan.
+  const bool pure_topk = plan.ops.size() == 1 &&
+                         plan.ops[0].kind == QueryPlan::Op::Kind::kTopK &&
+                         plan.ops[0].pure;
 
   // ---- Pattern: VertexAction / EdgeAction, printed from the last node down ----
-  for (size_t i = nodes.size(); i-- > 0;) {
+  for (size_t i = pure_topk ? 0 : nodes.size(); i-- > 0;) {
     QueryPlan::Op scan;
     scan.kind = QueryPlan::Op::Kind::kScan;
     scan.alias = static_cast<int>(i);
@@ -1137,7 +1154,9 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
     if (op.kind == Kind::kRange) TV_RETURN_NOT_OK(RunRange(&op, params, &st, &result));
   }
   for (QueryPlan::Op& op : ops) {
-    if (op.kind == Kind::kTopK) TV_RETURN_NOT_OK(RunTopK(&op, params, &st, &result));
+    if (op.kind == Kind::kTopK) {
+      TV_RETURN_NOT_OK(RunTopK(*plan, &op, params, &st, &result));
+    }
     if (op.kind == Kind::kSimilarityJoin) {
       TV_RETURN_NOT_OK(RunSimilarityJoin(*plan, &op, params, &st, &result));
     }

@@ -926,14 +926,10 @@ bool FuzzCase::CheckMpp(const std::string& label, const std::string& type,
                     "; distributed: " + distributed.status().ToString(),
                 label);
   }
-  auto by_dist_label = [](const SearchHit& a, const SearchHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.label < b.label;
-  };
   std::vector<SearchHit> lhs = single->hits;
   std::vector<SearchHit> rhs = distributed->hits;
-  std::sort(lhs.begin(), lhs.end(), by_dist_label);
-  std::sort(rhs.begin(), rhs.end(), by_dist_label);
+  std::sort(lhs.begin(), lhs.end());
+  std::sort(rhs.begin(), rhs.end());
   if (lhs.size() != rhs.size()) {
     return Fail("mpp-divergence",
                 "single-node returned " + std::to_string(lhs.size()) +

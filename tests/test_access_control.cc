@@ -101,6 +101,30 @@ TEST_F(RbacFixture, GsqlScanOfUnauthorizedTypeRejected) {
   EXPECT_EQ(allowed->prints[0].vertices.size(), 1u);
 }
 
+// A pure top-k plans no type scan, yet a role that cannot read the type is
+// refused exactly as the scan would refuse it.
+TEST_F(RbacFixture, PureTopKOfUnauthorizedTypeFailsLikeItsScan) {
+  session_->SetRole("analyst");
+  QueryParams params;
+  params["qv"] = std::vector<float>{1, 0, 0, 0};
+  auto scan = session_->Run("R = SELECT s FROM (s:Secret);");
+  auto topk = session_->Run(
+      "R = SELECT s FROM (s:Secret) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 1;", params);
+  ASSERT_FALSE(scan.ok());
+  ASSERT_FALSE(topk.ok());
+  EXPECT_EQ(topk.status().code(), scan.status().code());
+  EXPECT_EQ(topk.status().message(), scan.status().message());
+  EXPECT_EQ(topk.status().message(),
+            "permission denied: role 'analyst' cannot read vertex type Secret");
+
+  auto allowed = session_->Run(
+      "R = SELECT s FROM (s:Pub) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 1; PRINT R;",
+      params);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  ASSERT_EQ(allowed->prints[0].vertices.size(), 1u);
+  EXPECT_EQ(allowed->prints[0].vertices[0], pub_);
+}
+
 TEST_F(RbacFixture, UnauthorizedVerticesDroppedFromVariableFilter) {
   // A variable containing a mix of authorized and unauthorized vertices is
   // silently reduced to the readable subset.

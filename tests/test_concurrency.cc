@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -165,6 +169,105 @@ TEST_F(ConcurrencyFixture, DeleteDuringSearchNeverReturnsDeleted) {
     auto result = db_->embeddings()->TopKSearch(request);
     ASSERT_TRUE(result.ok());
     for (const auto& hit : result->hits) EXPECT_NE(hit.label, victim);
+  }
+}
+
+// A search filter that parks the first call until released, holding a
+// segment search in the middle of its index walk.
+struct ParkingFilter {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+
+  static bool Accepts(const void* ctx, uint64_t) {
+    auto* self = static_cast<ParkingFilter*>(const_cast<void*>(ctx));
+    std::unique_lock<std::mutex> lock(self->mu);
+    if (!self->parked) {
+      self->parked = true;
+      self->cv.notify_all();
+      self->cv.wait(lock, [self] { return self->released; });
+    }
+    return true;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return parked; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+// A segment search works on a snapshot (the index pointer and its visible
+// deltas) and holds the segment lock only while taking it: a commit into the
+// segment does not wait for the index walk, and neither vacuum stage nor an
+// index rebuild changes what the walk returns at its read_tid.
+TEST_F(ConcurrencyFixture, ParkedSearchNeitherBlocksCommitsNorSeesThem) {
+  using namespace std::chrono_literals;
+  const VertexId target = vids_[200];
+  const std::vector<SegmentId> segment{
+      static_cast<SegmentId>(target / db_->store()->segment_capacity())};
+  std::vector<float> q(8, 0.f);
+  q[0] = -50.f;
+  q[1] = -50.f;
+  // Move the target next to q through a pending (unmerged) delta.
+  {
+    Transaction txn = db_->Begin();
+    std::vector<float> near = q;
+    near[2] = 0.5f;
+    ASSERT_TRUE(txn.SetEmbedding(target, "Item", "emb", near).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  VectorSearchRequest request;
+  request.attrs = {{"Item", "emb"}};
+  request.query = q.data();
+  request.k = 5;
+  request.ef = 64;
+  request.read_tid = db_->store()->visible_tid();
+  request.segment_subset = &segment;
+  auto expected = db_->embeddings()->TopKSearch(request);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->hits.empty());
+  ASSERT_EQ(expected->hits[0].label, target);
+
+  ParkingFilter latch;
+  request.filter = FilterView(&ParkingFilter::Accepts, &latch);
+  Result<VectorSearchResult> parked = Status::Internal("not run");
+  std::thread searcher([&] { parked = db_->embeddings()->TopKSearch(request); });
+  latch.WaitParked();
+
+  // Move the target far away while the search is parked.
+  auto commit = std::async(std::launch::async, [&]() -> Status {
+    Transaction txn = db_->Begin();
+    TV_RETURN_NOT_OK(txn.SetEmbedding(target, "Item", "emb", Vec(10000)));
+    return txn.Commit().status();
+  });
+  const bool committed = commit.wait_for(2s) == std::future_status::ready;
+  EXPECT_TRUE(committed) << "a commit into the segment waited for a parked search";
+  std::future<Status> vacuum;
+  if (committed) {
+    vacuum = std::async(std::launch::async, [&]() -> Status {
+      TV_RETURN_NOT_OK(db_->Vacuum().status());
+      return db_->embeddings()->RebuildAllIndexes(db_->pool());
+    });
+    EXPECT_EQ(vacuum.wait_for(2s), std::future_status::ready)
+        << "vacuum and rebuild waited for a parked search";
+  }
+  latch.Release();
+  searcher.join();
+  EXPECT_TRUE(commit.get().ok());
+  if (vacuum.valid()) {
+    EXPECT_TRUE(vacuum.get().ok());
+  }
+
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  ASSERT_EQ(parked->hits.size(), expected->hits.size());
+  for (size_t i = 0; i < parked->hits.size(); ++i) {
+    EXPECT_EQ(parked->hits[i].label, expected->hits[i].label) << "rank " << i;
+    EXPECT_EQ(parked->hits[i].distance, expected->hits[i].distance) << "rank " << i;
   }
 }
 

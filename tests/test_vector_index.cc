@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <set>
@@ -151,6 +152,35 @@ TEST_P(VectorIndexContract, BruteForceTiesGoToLowestLabels) {
   auto hits = index->BruteForceSearch(v.data(), 3);
   ASSERT_EQ(hits.size(), 3u);
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].label, i);
+}
+
+// Index searches order and cut distance ties by label too, whatever order
+// the index meets the tied rows in: a top-k is sorted by (distance, label)
+// and is the k-prefix of the top-(k+10).
+TEST_P(VectorIndexContract, TopKTiesCutByLabelAtEveryK) {
+  auto index = MakeIndex(GetParam(), kDim, 300);
+  Fill(index.get(), 200);
+  // Three copies of each of eight rows, labelled in descending order so the
+  // insertion order disagrees with the label order.
+  uint64_t label = 299;
+  for (size_t row = 0; row < 200; row += 25) {
+    for (int copy = 0; copy < 3; ++copy) {
+      ASSERT_TRUE(index->AddPoint(label--, data_[row].data()).ok());
+    }
+  }
+  for (size_t row = 0; row < 200; row += 25) {
+    const std::vector<SearchHit> wide = index->TopKSearch(data_[row].data(), 14, 64);
+    ASSERT_EQ(wide.size(), 14u);
+    EXPECT_TRUE(std::is_sorted(wide.begin(), wide.end())) << "row " << row;
+    for (size_t k = 1; k <= 4; ++k) {
+      const std::vector<SearchHit> hits = index->TopKSearch(data_[row].data(), k, 64);
+      ASSERT_EQ(hits.size(), k) << "row " << row;
+      for (size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(hits[i].label, wide[i].label) << "row " << row << " k " << k;
+        EXPECT_EQ(hits[i].distance, wide[i].distance) << "row " << row << " k " << k;
+      }
+    }
+  }
 }
 
 TEST_P(VectorIndexContract, BruteForceWithZeroKIsEmpty) {
