@@ -76,4 +76,21 @@ Bitmap VertexSetToBitmap(const VertexSet& set, VertexId vid_upper_bound) {
   return bm;
 }
 
+CandidateSet VertexSetToCandidates(const VertexSet& set, const GraphStore& store) {
+  const VertexId vid_upper_bound = store.vid_upper_bound();
+  CandidateSet::Builder out(store.segment_capacity());
+  for (VertexId vid : set) {
+    if (vid < vid_upper_bound) out.Insert(vid);
+  }
+  return std::move(out).Build();
+}
+
+VertexSet CandidatesToVertexSet(const CandidateSet& set, size_t limit) {
+  VertexSet out;
+  set.ForEach([&](VertexId vid) {
+    if (out.size() < limit) out.insert(vid);
+  });
+  return out;
+}
+
 }  // namespace tigervector

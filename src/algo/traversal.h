@@ -1,6 +1,7 @@
 #ifndef TIGERVECTOR_ALGO_TRAVERSAL_H_
 #define TIGERVECTOR_ALGO_TRAVERSAL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -41,6 +42,12 @@ VertexSet CollectVerticesOfType(const GraphStore& store, const std::string& type
 // Converts a vertex set into a global-vid bitmap usable as a vector search
 // filter.
 Bitmap VertexSetToBitmap(const VertexSet& set, VertexId vid_upper_bound);
+
+// The two edges between the API's vertex sets and the engine's candidate
+// sets. Vids at or above the store's vid_upper_bound() are dropped.
+CandidateSet VertexSetToCandidates(const VertexSet& set, const GraphStore& store);
+// The first `limit` candidates in vid order.
+VertexSet CandidatesToVertexSet(const CandidateSet& set, size_t limit = SIZE_MAX);
 
 }  // namespace tigervector
 

@@ -31,6 +31,21 @@ Fingerprint FingerprintBytes(const void* data, size_t len) {
   return Fingerprint{Mix64(h1 ^ (h2 >> 32)), Mix64(h2 ^ (h1 >> 32))};
 }
 
+Fingerprint FingerprintCandidates(const CandidateSet& set) {
+  Fingerprint fp = CombineFingerprint(Fingerprint{}, 0x63616e6469646174ULL);
+  for (size_t s = 0; s < set.num_segments(); ++s) {
+    const Bitmap* bits = set.segment(s);
+    if (bits == nullptr) continue;
+    const std::vector<uint64_t>& words = bits->words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      if (words[w] == 0) continue;
+      fp = CombineFingerprint(fp, uint64_t{s} * set.segment_capacity() + w * 64);
+      fp = CombineFingerprint(fp, words[w]);
+    }
+  }
+  return fp;
+}
+
 namespace {
 
 bool EnvEnabled(bool fallback) {

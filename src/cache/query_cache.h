@@ -60,34 +60,11 @@ inline Fingerprint CombineFingerprints(Fingerprint a, const Fingerprint& b) {
   return CombineFingerprint(a, b.lo);
 }
 
-// Order-independent fingerprint of an unordered id container (e.g. a
-// VertexSet candidate filter): per-id mixes are folded with commutative
-// accumulators so iteration order cannot change the key. Sum/xor alone
-// would make the fold a linear map over the per-id mixes (collisions
-// reduce to solving a small linear system rather than inverting the
-// mixer), so a fourth accumulator rotates each mix by an amount derived
-// from the id itself — the data-dependent rotation breaks linearity while
-// staying commutative.
-template <typename Container>
-Fingerprint FingerprintIdSetUnordered(const Container& ids) {
-  uint64_t sum1 = 0, xor1 = 0, sum2 = 0, rot = 0;
-  uint64_t n = 0;
-  for (const auto& id : ids) {
-    const uint64_t v = static_cast<uint64_t>(id);
-    const uint64_t a = Mix64(v + 0x9e3779b97f4a7c15ULL);
-    const uint64_t b = Mix64(v ^ 0xc2b2ae3d27d4eb4fULL);
-    const unsigned r = static_cast<unsigned>(b & 63);
-    sum1 += a;
-    xor1 ^= a;
-    sum2 += b;
-    rot += (a << r) | (a >> ((64 - r) & 63));
-    ++n;
-  }
-  Fingerprint fp;
-  fp.hi = Mix64(sum1 + Mix64(xor1 ^ n)) ^ Mix64(rot);
-  fp.lo = Mix64(sum2 ^ Mix64(n + 0xa0761d6478bd642fULL)) + Mix64(rot ^ n);
-  return fp;
-}
+// Fingerprint of a candidate set's contents: every non-zero word with its
+// position. How the set is split into bitmaps does not matter (a null
+// segment and an all-clear bitmap fingerprint alike), and the empty set
+// fingerprints apart from Fingerprint{}, the accept-all filter's key.
+Fingerprint FingerprintCandidates(const CandidateSet& set);
 
 // --- cache keys -----------------------------------------------------------
 

@@ -60,9 +60,6 @@ Result<Database::RecoveryReport> Database::Recover(const RecoveryOptions& option
 
 Result<size_t> Database::Vacuum() {
   TV_RETURN_NOT_OK(embeddings_->RunDeltaMerge().status());
-  // The index merge is the expensive stage; use the adaptive thread count
-  // so foreground queries stay responsive.
-  (void)embeddings_->SuggestVacuumThreads();
   auto merged = embeddings_->RunIndexMerge(pool_.get());
   if (!merged.ok()) return merged.status();
   store_->VacuumGraph();
@@ -71,7 +68,8 @@ Result<size_t> Database::Vacuum() {
 
 Result<VertexSet> Database::VectorSearch(
     const std::vector<std::pair<std::string, std::string>>& attrs,
-    const std::vector<float>& query, size_t k, const VectorSearchFnOptions& options) {
+    const std::vector<float>& query, size_t k, const VectorSearchFnOptions& options,
+    const CandidateSet* candidates) {
   // Drop attributes whose vertex type the role cannot read (their vectors
   // are "unauthorized", paper Sec. 5.1); fail only when nothing remains.
   std::vector<std::pair<std::string, std::string>> permitted;
@@ -123,22 +121,14 @@ Result<VertexSet> Database::VectorSearch(
   // search answers at exactly this tid and the result cache keys on it.
   request.read_tid =
       options.read_tid != kMaxTid ? options.read_tid : store_->visible_tid();
-  // The candidate set is fingerprinted once per search (it is the same for
-  // every attribute); the O(vid_upper_bound) bitmap materialization is
-  // deferred into the miss path so a warm cache hit skips it entirely.
-  cache::Fingerprint filter_fp;
-  Bitmap filter_bitmap;
-  std::function<Status()> materialize;
-  if (options.filter != nullptr) {
-    filter_fp = cache::FingerprintIdSetUnordered(*options.filter);
-    materialize = [&]() {
-      filter_bitmap = VertexSetToBitmap(*options.filter, store_->vid_upper_bound());
-      request.filter = FilterView(&filter_bitmap);
-      return Status::OK();
-    };
+  // The candidates filter every segment search in place.
+  CandidateSet from_filter;
+  if (candidates == nullptr && options.filter != nullptr) {
+    from_filter = VertexSetToCandidates(*options.filter, *store_);
+    candidates = &from_filter;
   }
-  auto result =
-      CachedTopK(request, query.size(), filter_fp, options.bypass_cache, materialize);
+  if (candidates != nullptr) request.filter = FilterView(candidates);
+  auto result = CachedTopK(request, query.size(), candidates, options.bypass_cache);
   if (!result.ok()) return result.status();
   VertexSet out;
   for (const SearchHit& hit : result->hits) {
@@ -150,15 +140,14 @@ Result<VertexSet> Database::VectorSearch(
   return out;
 }
 
-Result<VectorSearchResult> Database::CachedTopK(
-    VectorSearchRequest& request, size_t query_dim,
-    const cache::Fingerprint& filter_fp, bool bypass_cache,
-    const std::function<Status()>& materialize_filter) {
+Result<VectorSearchResult> Database::CachedTopK(const VectorSearchRequest& request,
+                                                size_t query_dim,
+                                                const CandidateSet* candidates,
+                                                bool bypass_cache) {
   // With a simulated MPP cluster the search scatters to the logical servers
   // and gathers their local top-k lists; the merge invariant keeps the
   // result bit-identical to the single-node path, so both share one cache.
   auto run = [&](cache::Outcome outcome) -> Result<VectorSearchResult> {
-    if (materialize_filter != nullptr) TV_RETURN_NOT_OK(materialize_filter());
     auto result = cluster_ != nullptr ? cluster_->DistributedTopK(request)
                                       : embeddings_->TopKSearch(request);
     if (result.ok()) TraceVectorSearch(*result, outcome);
@@ -190,8 +179,13 @@ Result<VectorSearchResult> Database::CachedTopK(
                                          ? request.rerank_factor
                                          : simd::DefaultRerankFactor());
   const uint64_t structure_version = embeddings_->structure_version();
-  const cache::CacheKey key =
-      cache::TopKKey(fp, filter_fp, request.read_tid, structure_version);
+  // No candidates: the accept-all key Fingerprint{}, which no candidate
+  // set's fingerprint equals.
+  const cache::CacheKey key = cache::TopKKey(
+      fp,
+      candidates != nullptr ? cache::FingerprintCandidates(*candidates)
+                            : cache::Fingerprint{},
+      request.read_tid, structure_version);
   if (cache::QueryCache::TopKPtr entry = cache_->LookupTopK(key)) {
     VectorSearchResult cached;
     cached.hits.reserve(entry->hits.size());

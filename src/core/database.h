@@ -1,7 +1,6 @@
 #ifndef TIGERVECTOR_CORE_DATABASE_H_
 #define TIGERVECTOR_CORE_DATABASE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -56,8 +55,8 @@ class Database {
   // Starts a write transaction.
   Transaction Begin() { return Transaction(store_.get()); }
 
-  // Runs both vacuum stages (delta merge then index merge) using the
-  // adaptive thread suggestion. Returns records folded into indexes.
+  // Runs both vacuum stages (delta merge then index merge, the latter on
+  // the shared worker pool). Returns records folded into indexes.
   Result<size_t> Vacuum();
 
   // --- Crash recovery ---
@@ -108,29 +107,18 @@ class Database {
     // (TV_RERANK_FACTOR). Part of the result-cache key either way.
     size_t rerank_factor = 0;
   };
+  // `candidates`, when non-null, is the filter in the engine's own form (the
+  // GSQL executor's pattern candidates) and options.filter is not read;
+  // otherwise options.filter is converted into one.
   Result<VertexSet> VectorSearch(
       const std::vector<std::pair<std::string, std::string>>& attrs,
-      const std::vector<float>& query, size_t k,
-      const VectorSearchFnOptions& options);
+      const std::vector<float>& query, size_t k, const VectorSearchFnOptions& options,
+      const CandidateSet* candidates = nullptr);
   Result<VertexSet> VectorSearch(
       const std::vector<std::pair<std::string, std::string>>& attrs,
       const std::vector<float>& query, size_t k) {
     return VectorSearch(attrs, query, k, VectorSearchFnOptions{});
   }
-
-  // Top-k search through the result cache. `request.read_tid` must already
-  // be pinned to a real horizon (not kMaxTid) for the cache to engage.
-  // `filter_fp` fingerprints the candidate set request.filter accepts
-  // (default Fingerprint{} = accept-all); `materialize_filter`, when
-  // non-null, is invoked exactly once before the underlying search runs on
-  // a miss or bypass — a cache hit skips it, so callers can defer building
-  // the (potentially large) filter bitmap into it. The search is filed in
-  // the active query trace (TraceVectorSearch); a hit replays the tier
-  // counts of the run that filled the entry.
-  Result<VectorSearchResult> CachedTopK(
-      VectorSearchRequest& request, size_t query_dim,
-      const cache::Fingerprint& filter_fp, bool bypass_cache,
-      const std::function<Status()>& materialize_filter);
 
  private:
   Options options_;
@@ -141,6 +129,17 @@ class Database {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<cache::QueryCache> cache_;
+
+  // Top-k search through the result cache. `request.read_tid` must already
+  // be pinned to a real horizon (not kMaxTid) for the cache to engage.
+  // `candidates` (null: accept-all) are what request.filter accepts; the key
+  // fingerprints their contents. The search is filed in the active query
+  // trace (TraceVectorSearch); a hit replays the tier counts of the run that
+  // filled the entry.
+  Result<VectorSearchResult> CachedTopK(const VectorSearchRequest& request,
+                                        size_t query_dim,
+                                        const CandidateSet* candidates,
+                                        bool bypass_cache);
 };
 
 // Files one vector search in the active query trace, where EXPLAIN ANALYZE

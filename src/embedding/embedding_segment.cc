@@ -379,12 +379,12 @@ bool CompositeAccepts(const void* raw_ctx, uint64_t id) {
 
 }  // namespace
 
-bool EmbeddingSegment::UseBruteForce(const SearchOptions& options) const {
-  if (options.bruteforce_threshold == 0 || options.filter.bitmap() == nullptr) {
-    return false;
-  }
-  return options.filter.bitmap()->CountRange(base_vid_, base_vid_ + capacity_) <
-         options.bruteforce_threshold;
+bool EmbeddingSegment::UseBruteForce(const FilterView& filter, size_t threshold) const {
+  if (threshold == 0 || filter.bitmap() == nullptr) return false;
+  // Bit 0 of the view's bitmap is id filter.base(): a global bitmap counts
+  // this segment's range, a narrowed view its own bitmap.
+  const size_t begin = base_vid_ - filter.base();
+  return filter.bitmap()->CountRange(begin, begin + capacity_) < threshold;
 }
 
 void EmbeddingSegment::OverlayDeltas(const float* query, const PendingView& overrides,
@@ -411,9 +411,10 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
     const float* query, const SearchOptions& options) const {
   const Snapshot snap = TakeSnapshot(options.read_tid);
   SearchOutput out;
-  CompositeFilterCtx ctx{&options.filter, &snap.pending};
+  const FilterView filter = options.filter.ForSegment(base_vid_);
+  CompositeFilterCtx ctx{&filter, &snap.pending};
   FilterView composite(&CompositeAccepts, &ctx);
-  out.used_bruteforce = UseBruteForce(options);
+  out.used_bruteforce = UseBruteForce(filter, options.bruteforce_threshold);
   {
     // Per-query quantization scope: lets the index rank on SQ8 codes (when
     // a trained tier exists) with this query's rerank factor, and reports
@@ -425,7 +426,7 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
     out.used_quant = quant_scope.quant_scans() > 0;
     out.reranked = quant_scope.reranked();
   }
-  OverlayDeltas(query, snap.pending, options.filter, options.k,
+  OverlayDeltas(query, snap.pending, filter, options.k,
                 std::numeric_limits<float>::infinity(), &out);
   return out;
 }
@@ -434,19 +435,20 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
     const float* query, float threshold, const SearchOptions& options) const {
   const Snapshot snap = TakeSnapshot(options.read_tid);
   SearchOutput out;
-  CompositeFilterCtx ctx{&options.filter, &snap.pending};
+  const FilterView filter = options.filter.ForSegment(base_vid_);
+  CompositeFilterCtx ctx{&filter, &snap.pending};
   FilterView composite(&CompositeAccepts, &ctx);
   // Range answers stay exact: the brute-force tier is an exact fp32 range
   // scan, which the differential harness relies on for its strict oracle
   // tier, and the index's RangeSearch pins fp32 itself.
   constexpr size_t kAll = std::numeric_limits<size_t>::max();
-  out.used_bruteforce = UseBruteForce(options);
+  out.used_bruteforce = UseBruteForce(filter, options.bruteforce_threshold);
   out.hits = out.used_bruteforce
                  ? snap.index->BruteForceSearch(query, kAll, composite, threshold)
                  : snap.index->RangeSearch(query, threshold,
                                            std::max<size_t>(options.k, 16), options.ef,
                                            composite);
-  OverlayDeltas(query, snap.pending, options.filter, kAll, threshold, &out);
+  OverlayDeltas(query, snap.pending, filter, kAll, threshold, &out);
   return out;
 }
 

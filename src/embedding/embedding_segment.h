@@ -91,7 +91,7 @@ class EmbeddingSegment {
   struct SearchOptions {
     size_t k = 10;
     size_t ef = 64;
-    FilterView filter;            // over global vids
+    FilterView filter;            // over global vids; narrowed per search
     Tid read_tid = kMaxTid;       // visibility horizon
     // When a filter bitmap leaves fewer than this many valid points in the
     // segment, fall back to exact scan (paper Sec. 5.1). 0 disables.
@@ -182,10 +182,11 @@ class EmbeddingSegment {
   template <typename Fn>
   void ForEachVisibleLocked(Tid read_tid, Fn&& fn) const;
 
-  // Search tier: when the filter bitmap leaves fewer than
-  // bruteforce_threshold valid points in this segment's id range, an exact
-  // scan beats the index (paper Sec. 5.1).
-  bool UseBruteForce(const SearchOptions& options) const;
+  // Search tier: when the filter bitmap leaves fewer than `threshold`
+  // valid points in this segment's id range, an exact scan beats the index
+  // (paper Sec. 5.1). `filter` is the search's view narrowed to this
+  // segment, so a candidate set's count reads this segment's bitmap only.
+  bool UseBruteForce(const FilterView& filter, size_t threshold) const;
 
   // Delta overlay (paper Sec. 4.3: index results combine with a brute-force
   // scan over pending deltas). Scans the visible upserts accepted by

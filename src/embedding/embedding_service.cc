@@ -15,22 +15,6 @@
 
 namespace tigervector {
 
-namespace {
-
-// RAII counter of in-flight searches, feeding SuggestVacuumThreads().
-class ActiveSearchScope {
- public:
-  explicit ActiveSearchScope(std::atomic<size_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  ~ActiveSearchScope() { counter_->fetch_sub(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<size_t>* counter_;
-};
-
-}  // namespace
-
 EmbeddingService::EmbeddingService(GraphStore* store, Options options)
     : store_(store), options_(std::move(options)) {}
 
@@ -133,8 +117,6 @@ Result<VectorSearchResult> EmbeddingService::FanOut(const VectorSearchRequest& r
   if (request.attrs.empty()) {
     return Status::InvalidArgument("vector search requires at least one attribute");
   }
-  ActiveSearchScope scope(&active_searches_);
-
   // Static compatibility analysis across the requested attributes
   // (paper Sec. 4.1): dimension/model/datatype/metric must match; the index
   // type may differ. Incompatible combinations are semantic errors.
@@ -570,13 +552,6 @@ Status EmbeddingService::RecoverDeltaFiles(const std::string& dir,
     }
   }
   return Status::OK();
-}
-
-size_t EmbeddingService::SuggestVacuumThreads() const {
-  const size_t active = active_searches_.load(std::memory_order_relaxed);
-  const size_t max_threads = std::max<size_t>(1, options_.max_vacuum_threads);
-  if (active >= max_threads) return 1;
-  return max_threads - active;
 }
 
 size_t EmbeddingService::TotalPendingDeltas() const {

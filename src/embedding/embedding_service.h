@@ -58,7 +58,6 @@ class EmbeddingService : public EmbeddingSink {
     HnswParams index_params;       // dim/metric/max_elements overridden per attr
     std::string delta_dir;         // empty -> in-memory delta files
     size_t bruteforce_threshold = 64;
-    size_t max_vacuum_threads = 4;
   };
 
   EmbeddingService(GraphStore* store, Options options);
@@ -87,8 +86,8 @@ class EmbeddingService : public EmbeddingSink {
   // Stage 1 on every segment: seal in-memory deltas (up to the currently
   // visible tid) into delta files. Returns total records sealed.
   Result<size_t> RunDeltaMerge();
-  // Stage 2 on every segment: fold sealed delta files into the indexes.
-  // Uses up to SuggestVacuumThreads() workers from `pool`.
+  // Stage 2 on every segment: fold sealed delta files into the indexes,
+  // on `pool`'s workers.
   Result<size_t> RunIndexMerge(ThreadPool* pool);
   // Rebuild all indexes from scratch (the "rebuild beats incremental when
   // >20% updated" path, paper Fig. 11).
@@ -125,18 +124,12 @@ class EmbeddingService : public EmbeddingSink {
   // are leftover ".tmp" staging files from interrupted atomic writes.
   Status RecoverDeltaFiles(const std::string& dir, RecoveryStats* stats);
 
-  // Adaptive vacuum parallelism: back off while foreground searches are
-  // active (paper Sec. 4.3: the number of index-update threads is tuned
-  // dynamically to balance efficiency and query responsiveness).
-  size_t SuggestVacuumThreads() const;
-
   // --- Introspection ---
   size_t TotalPendingDeltas() const;
   size_t NumEmbeddingSegments() const;
   // Embedding segments of one attribute, ordered by segment id.
   std::vector<const EmbeddingSegment*> SegmentsOf(const std::string& vertex_type,
                                                   const std::string& attr) const;
-  size_t active_searches() const { return active_searches_.load(); }
   const Options& options() const { return options_; }
 
   // --- structure version (cache invalidation key) ---
@@ -208,7 +201,6 @@ class EmbeddingService : public EmbeddingSink {
   Options options_;
   mutable std::shared_mutex mu_;  // guards attr_states_ map & segment slots
   std::map<AttrKey, AttrState> attr_states_;
-  mutable std::atomic<size_t> active_searches_{0};
   std::atomic<uint64_t> structure_version_{0};
   std::atomic<uint32_t> structure_changes_inflight_{0};
 };

@@ -85,8 +85,7 @@ Status GraphSegment::ApplyDeleteEdge(VertexId src_vid, EdgeTypeId etype, VertexI
 bool GraphSegment::IsVisible(VertexId vid, Tid read_tid) const {
   if (!InRange(vid)) return false;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const VertexRecord& rec = records_[OffsetOf(vid)];
-  return rec.exists && rec.created_tid <= read_tid && rec.deleted_tid > read_tid;
+  return VisibleLocked(records_[OffsetOf(vid)], read_tid);
 }
 
 int GraphSegment::VertexType(VertexId vid) const {
@@ -101,24 +100,28 @@ Status GraphSegment::GetAttr(VertexId vid, uint16_t attr_idx, Tid read_tid,
                              Value* out) const {
   if (!InRange(vid)) return Status::InvalidArgument("vid out of segment range");
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const uint32_t offset = OffsetOf(vid);
-  const VertexRecord& rec = records_[offset];
-  if (!rec.exists || rec.created_tid > read_tid || rec.deleted_tid <= read_tid) {
+  if (!VisibleLocked(records_[OffsetOf(vid)], read_tid)) {
     return Status::NotFound("vertex " + std::to_string(vid));
   }
-  if (attr_idx >= rec.attrs.size()) {
+  const Value* value = AttrLocked(OffsetOf(vid), attr_idx, read_tid);
+  if (value == nullptr) {
     return Status::OutOfRange("attr index " + std::to_string(attr_idx));
   }
+  *out = *value;
+  return Status::OK();
+}
+
+const Value* GraphSegment::AttrLocked(uint32_t offset, uint16_t idx, Tid read_tid) const {
+  const VertexRecord& rec = records_[offset];
+  if (idx >= rec.attrs.size()) return nullptr;
   // Latest visible delta wins over the snapshot (deltas are appended in
   // commit order, so scan backwards).
   for (auto it = attr_deltas_.rbegin(); it != attr_deltas_.rend(); ++it) {
-    if (it->offset == offset && it->attr_idx == attr_idx && it->tid <= read_tid) {
-      *out = it->value;
-      return Status::OK();
+    if (it->offset == offset && it->attr_idx == idx && it->tid <= read_tid) {
+      return &it->value;
     }
   }
-  *out = rec.attrs[attr_idx];
-  return Status::OK();
+  return &rec.attrs[idx];
 }
 
 void GraphSegment::ForEachEdge(VertexId vid, EdgeTypeId etype, bool out, Tid read_tid,
@@ -135,14 +138,27 @@ void GraphSegment::ForEachEdge(VertexId vid, EdgeTypeId etype, bool out, Tid rea
 
 void GraphSegment::ForEachVertex(int vtype, Tid read_tid,
                                  const std::function<void(VertexId)>& fn) const {
+  ScanVertices(vtype, read_tid, [&](VertexId vid, const Attrs&) { fn(vid); });
+}
+
+void GraphSegment::ScanVertices(int vtype, Tid read_tid,
+                                const std::function<void(VertexId, const Attrs&)>& fn)
+    const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   for (uint32_t offset = 0; offset < capacity_; ++offset) {
     const VertexRecord& rec = records_[offset];
-    if (!rec.exists || rec.created_tid > read_tid || rec.deleted_tid <= read_tid) {
-      continue;
-    }
+    if (!VisibleLocked(rec, read_tid)) continue;
     if (vtype >= 0 && rec.type != static_cast<VertexTypeId>(vtype)) continue;
-    fn(base_vid_ + offset);
+    fn(base_vid_ + offset, Attrs(this, offset, read_tid));
+  }
+}
+
+void GraphSegment::ReadVertex(VertexId vid, Tid read_tid,
+                              const std::function<void(const Attrs&)>& fn) const {
+  if (!InRange(vid)) return;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (VisibleLocked(records_[OffsetOf(vid)], read_tid)) {
+    fn(Attrs(this, OffsetOf(vid), read_tid));
   }
 }
 

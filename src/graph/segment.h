@@ -59,6 +59,32 @@ class GraphSegment {
   // vtype < 0).
   void ForEachVertex(int vtype, Tid read_tid, const std::function<void(VertexId)>& fn) const;
 
+  // One visible vertex's attributes as of a read_tid, handed to a callback
+  // that runs under the segment lock and valid only inside it.
+  class Attrs {
+   public:
+    // Attribute `idx`, as GetAttr reads it; null when the vertex has no
+    // such slot.
+    const Value* Get(uint16_t idx) const {
+      return seg_->AttrLocked(offset_, idx, read_tid_);
+    }
+
+   private:
+    friend class GraphSegment;
+    Attrs(const GraphSegment* seg, uint32_t offset, Tid read_tid)
+        : seg_(seg), offset_(offset), read_tid_(read_tid) {}
+    const GraphSegment* seg_;
+    uint32_t offset_;
+    Tid read_tid_;
+  };
+  // ForEachVertex for predicate scans: fn(vid, attrs) reads attributes
+  // without taking the lock again per read.
+  void ScanVertices(int vtype, Tid read_tid,
+                    const std::function<void(VertexId, const Attrs&)>& fn) const;
+  // Invokes fn(attrs) when `vid` is visible at read_tid.
+  void ReadVertex(VertexId vid, Tid read_tid,
+                  const std::function<void(const Attrs&)>& fn) const;
+
   // Folds attribute deltas with tid <= up_to_tid into the record snapshot
   // and drops them; also physically removes edges whose deletion is at or
   // below up_to_tid. Returns the number of deltas applied.
@@ -118,6 +144,12 @@ class GraphSegment {
   }
 
   uint32_t OffsetOf(VertexId vid) const { return static_cast<uint32_t>(vid - base_vid_); }
+  bool VisibleLocked(const VertexRecord& rec, Tid read_tid) const {
+    return rec.exists && rec.created_tid <= read_tid && rec.deleted_tid > read_tid;
+  }
+  // Attribute `idx` of the record at `offset` as of read_tid: the latest
+  // visible delta, else the record's value; null past the record's slots.
+  const Value* AttrLocked(uint32_t offset, uint16_t idx, Tid read_tid) const;
   bool InRange(VertexId vid) const {
     return vid >= base_vid_ && vid < base_vid_ + capacity_;
   }

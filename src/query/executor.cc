@@ -215,9 +215,9 @@ void AddSearchActuals(const TraceSnapshot& before, const Cluster* cluster, bool 
   add("mpp_merge", FmtMillis(seconds["cluster.merge"]));
 }
 
-// The read check of a typed pattern node: a type scan, and a pure top-k that
-// searches the type without scanning it, fail alike for a role that cannot
-// read the type.
+// The read check of a typed pattern node: a type scan, and a pure top-k or
+// range that searches the type without scanning it, fail alike for a role
+// that cannot read the type.
 Status CheckCanRead(Database* db, const std::string& role, int type_id) {
   if (db->access()->CanRead(role, static_cast<VertexTypeId>(type_id))) {
     return Status::OK();
@@ -302,26 +302,31 @@ Result<std::vector<QueryPlan::Alias>> QueryExecutor::ResolveNodes(
   return nodes;
 }
 
-Result<Value> QueryExecutor::EvalValue(const Expr& expr, VertexId vid, Tid read_tid,
-                                       const QueryParams& params) const {
+Result<const Value*> QueryExecutor::EvalValue(const Expr& expr, const Row& row,
+                                              const QueryParams& params,
+                                              Value* scratch) const {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
-      return expr.literal;
-    case Expr::Kind::kAttrRef:
-      return db_->store()->GetAttr(vid, expr.attr, read_tid);
+      return &expr.literal;
+    case Expr::Kind::kAttrRef: {
+      const int idx = row.type->AttrIndex(expr.attr);
+      const Value* value = idx < 0 ? nullptr : row.attrs->Get(static_cast<uint16_t>(idx));
+      if (value != nullptr) return value;
+      return Status::NotFound("attribute " + expr.attr + " on " + row.type->name);
+    }
     case Expr::Kind::kParam: {
       auto it = params.find(expr.param);
       if (it == params.end()) {
         return Status::InvalidArgument("missing query parameter $" + expr.param);
       }
       if (std::holds_alternative<int64_t>(it->second)) {
-        return Value{std::get<int64_t>(it->second)};
+        return &(*scratch = Value{std::get<int64_t>(it->second)});
       }
       if (std::holds_alternative<double>(it->second)) {
-        return Value{std::get<double>(it->second)};
+        return &(*scratch = Value{std::get<double>(it->second)});
       }
       if (std::holds_alternative<std::string>(it->second)) {
-        return Value{std::get<std::string>(it->second)};
+        return &(*scratch = Value{std::get<std::string>(it->second)});
       }
       return Status::InvalidArgument("vector parameter $" + expr.param +
                                      " used in scalar context");
@@ -332,33 +337,34 @@ Result<Value> QueryExecutor::EvalValue(const Expr& expr, VertexId vid, Tid read_
   }
 }
 
-Result<bool> QueryExecutor::EvalPredicate(const Expr& expr, VertexId vid, Tid read_tid,
+Result<bool> QueryExecutor::EvalPredicate(const Expr& expr, const Row& row,
                                           const QueryParams& params) const {
   switch (expr.kind) {
     case Expr::Kind::kNot: {
-      auto inner = EvalPredicate(*expr.lhs, vid, read_tid, params);
+      auto inner = EvalPredicate(*expr.lhs, row, params);
       if (!inner.ok()) return inner;
       return !*inner;
     }
     case Expr::Kind::kBinary: {
       if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
-        auto lhs = EvalPredicate(*expr.lhs, vid, read_tid, params);
+        auto lhs = EvalPredicate(*expr.lhs, row, params);
         if (!lhs.ok()) return lhs;
         if (expr.op == BinaryOp::kAnd && !*lhs) return false;
         if (expr.op == BinaryOp::kOr && *lhs) return true;
-        return EvalPredicate(*expr.rhs, vid, read_tid, params);
+        return EvalPredicate(*expr.rhs, row, params);
       }
-      auto lhs = EvalValue(*expr.lhs, vid, read_tid, params);
+      Value lhs_param, rhs_param;
+      auto lhs = EvalValue(*expr.lhs, row, params, &lhs_param);
       if (!lhs.ok()) return lhs.status();
-      auto rhs = EvalValue(*expr.rhs, vid, read_tid, params);
+      auto rhs = EvalValue(*expr.rhs, row, params, &rhs_param);
       if (!rhs.ok()) return rhs.status();
       switch (expr.op) {
-        case BinaryOp::kEq: return ValueEquals(*lhs, *rhs);
-        case BinaryOp::kNe: return !ValueEquals(*lhs, *rhs);
-        case BinaryOp::kLt: return ValueLess(*lhs, *rhs);
-        case BinaryOp::kGt: return ValueLess(*rhs, *lhs);
-        case BinaryOp::kLe: return !ValueLess(*rhs, *lhs);
-        case BinaryOp::kGe: return !ValueLess(*lhs, *rhs);
+        case BinaryOp::kEq: return ValueEquals(**lhs, **rhs);
+        case BinaryOp::kNe: return !ValueEquals(**lhs, **rhs);
+        case BinaryOp::kLt: return ValueLess(**lhs, **rhs);
+        case BinaryOp::kGt: return ValueLess(**rhs, **lhs);
+        case BinaryOp::kLe: return !ValueLess(**rhs, **lhs);
+        case BinaryOp::kGe: return !ValueLess(**lhs, **rhs);
         default: break;
       }
       return Status::SemanticError("unsupported operator");
@@ -369,9 +375,10 @@ Result<bool> QueryExecutor::EvalPredicate(const Expr& expr, VertexId vid, Tid re
       }
       return Status::SemanticError("non-boolean literal as predicate");
     case Expr::Kind::kAttrRef: {
-      auto v = EvalValue(expr, vid, read_tid, params);
+      Value param;
+      auto v = EvalValue(expr, row, params, &param);
       if (!v.ok()) return v.status();
-      if (std::holds_alternative<bool>(*v)) return std::get<bool>(*v);
+      if (std::holds_alternative<bool>(**v)) return std::get<bool>(**v);
       return Status::SemanticError("attribute " + expr.attr + " is not boolean");
     }
     default:
@@ -379,22 +386,21 @@ Result<bool> QueryExecutor::EvalPredicate(const Expr& expr, VertexId vid, Tid re
   }
 }
 
-Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_tid,
-                                         const QueryParams& params,
-                                         ScanCacheProbe* probe) const {
-  VertexSet base;
+Result<CandidateSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_tid,
+                                            const QueryParams& params,
+                                            ScanCacheProbe* probe) const {
   // Predicate scans poll the request's cancel token every check interval,
   // so a deadline expiring mid-scan aborts the statement promptly instead
   // of finishing a large segment sweep.
   uint32_t scanned = 0;
-  auto passes = [&](VertexId vid) -> Result<bool> {
+  auto passes = [&](const Row& row) -> Result<bool> {
     if ((++scanned & (kCancelCheckInterval - 1)) == 0) {
       Status cancelled = CancelCheckStatus();
       if (!cancelled.ok()) return cancelled;
     }
     for (const Expr* pred : node.predicates) {
       TV_COUNTER_INC("tv.query.predicate_evals_total");
-      auto ok = EvalPredicate(*pred, vid, read_tid, params);
+      auto ok = EvalPredicate(*pred, row, params);
       if (!ok.ok()) return ok;
       if (!*ok) return false;
     }
@@ -404,20 +410,25 @@ Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_
     // Variable-bound sets are query-local; their contents are not keyed by
     // any store version, so they never touch the bitmap cache.
     probe->bypasses += 1;
+    CandidateSet::Builder base(db_->store()->segment_capacity());
     for (VertexId vid : *node.var) {
-      if (!db_->store()->IsVisible(vid, read_tid)) continue;
       auto vt = db_->store()->GetVertexType(vid);
       if (!vt.ok()) continue;
       if (node.type_id >= 0 && *vt != node.type_id) continue;
       // Vertices of unauthorized types are invalid for this role.
       if (!db_->access()->CanRead(role_, *vt)) continue;
-      auto ok = passes(vid);
+      Result<bool> ok = false;  // stays false unless visible at read_tid
+      db_->store()->SegmentAt(vid / db_->store()->segment_capacity())
+          ->ReadVertex(vid, read_tid, [&](const GraphSegment::Attrs& attrs) {
+            ok = passes(Row{&db_->schema()->vertex_type(*vt), &attrs});
+          });
       if (!ok.ok()) return ok.status();
-      if (*ok) base.insert(vid);
+      if (*ok) base.Insert(vid);
     }
-    return base;
+    return std::move(base).Build();
   }
   TV_RETURN_NOT_OK(CheckCanRead(db_, role_, node.type_id));
+  const VertexTypeDef* type = &db_->schema()->vertex_type(node.type_id);
   cache::QueryCache* cache = db_->cache();
   const bool cacheable = cache != nullptr && cache->enabled() && !cache_bypass_;
   // Predicate fingerprint: type + normalized predicate text + the values of
@@ -444,6 +455,7 @@ Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_
     }
   }
   const size_t num_segments = db_->store()->NumSegments();
+  CandidateSet base(db_->store()->segment_capacity());
   for (size_t i = 0; i < num_segments; ++i) {
     const GraphSegment* seg = db_->store()->SegmentAt(i);
     // Capture the version BEFORE the horizon gate. BumpVersion publishes
@@ -456,34 +468,30 @@ Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_
     // horizon; a reader pinned below that horizon sees different rows and
     // must scan directly.
     cache::CacheKey key;
-    std::shared_ptr<Bitmap> fresh;  // a miss's scan result, admitted below
-    if (!cacheable || seg->last_applied_tid() > read_tid) {
+    const bool lookup = cacheable && seg->last_applied_tid() <= read_tid;
+    if (!lookup) {
       probe->bypasses += 1;
     } else {
       key = cache::BitmapKey(pred_fp, seg->id(), version);
       if (cache::QueryCache::BitmapPtr bits = cache->LookupBitmap(key)) {
         probe->hits += 1;
-        const VertexId base_vid = seg->base_vid();
-        for (size_t off = 0; off < bits->size(); ++off) {
-          if (bits->Test(off)) base.insert(base_vid + off);
-        }
+        base.set_segment(i, std::move(bits));
         continue;
       }
       probe->misses += 1;
-      fresh = std::make_shared<Bitmap>(seg->capacity());
     }
+    auto fresh = std::make_shared<Bitmap>(seg->capacity());
     Status status = Status::OK();
     const VertexId base_vid = seg->base_vid();
-    seg->ForEachVertex(node.type_id, read_tid, [&](VertexId vid) {
+    seg->ScanVertices(node.type_id, read_tid, [&](VertexId vid,
+                                                  const GraphSegment::Attrs& attrs) {
       if (!status.ok()) return;
-      auto ok = passes(vid);
+      auto ok = passes(Row{type, &attrs});
       if (!ok.ok()) {
         status = ok.status();
         return;
       }
-      if (!*ok) return;
-      base.insert(vid);
-      if (fresh != nullptr) fresh->Set(static_cast<size_t>(vid - base_vid));
+      if (*ok) fresh->Set(static_cast<size_t>(vid - base_vid));
     });
     TV_RETURN_NOT_OK(status);
     // Admit only if no commit or vacuum raced with the scan; a racing
@@ -491,10 +499,10 @@ Result<VertexSet> QueryExecutor::BaseSet(const QueryPlan::Alias& node, Tid read_
     // horizon re-check is belt-and-braces for the window where a racing
     // mutation has raised last_applied_tid but its version bump is not
     // yet visible to this thread.
-    if (fresh != nullptr && seg->version() == version &&
-        seg->last_applied_tid() <= read_tid) {
-      cache->InsertBitmap(key, std::move(fresh));
+    if (lookup && seg->version() == version && seg->last_applied_tid() <= read_tid) {
+      cache->InsertBitmap(key, fresh);
     }
+    base.set_segment(i, std::move(fresh));
   }
   return base;
 }
@@ -580,37 +588,38 @@ struct ExecState {
   bool cache_bypass = false;
   Tid read_tid = 0;
   bool analyze = false;
-  std::vector<VertexSet> cand;
+  std::vector<CandidateSet> cand;
 };
 
+// The semi-joins write new sets: a scan's bitmaps may be shared with the
+// bitmap cache and with other queries.
 void RunSemiJoin(const QueryPlan& plan, const QueryPlan::Op& op, bool forward,
                  ExecState* st) {
   const QueryPlan::Edge& edge = plan.edges[op.alias];
-  VertexSet& near = st->cand[op.alias];
-  VertexSet& far = st->cand[op.alias + 1];
+  CandidateSet& near = st->cand[op.alias];
+  CandidateSet& far = st->cand[op.alias + 1];
+  CandidateSet::Builder kept(st->db->store()->segment_capacity());
   if (forward) {
     // Keep the far scan's vertices reached from a near candidate.
-    VertexSet next;
-    for (VertexId vid : near) {
+    near.ForEach([&](VertexId vid) {
       st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
                                        [&](VertexId peer) {
-                                         if (far.count(peer) > 0) next.insert(peer);
+                                         if (far.Contains(peer)) kept.Insert(peer);
                                        });
-    }
-    far = std::move(next);
+    });
+    far = std::move(kept).Build();
     return;
   }
   // Keep near candidates with at least one neighbor among the far ones.
-  VertexSet kept;
-  for (VertexId vid : near) {
+  near.ForEach([&](VertexId vid) {
     bool has = false;
     st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
                                      [&](VertexId peer) {
-                                       if (!has && far.count(peer) > 0) has = true;
+                                       if (!has && far.Contains(peer)) has = true;
                                      });
-    if (has) kept.insert(vid);
-  }
-  near = std::move(kept);
+    if (has) kept.Insert(vid);
+  });
+  near = std::move(kept).Build();
 }
 
 Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
@@ -636,13 +645,9 @@ Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
   request.pool = st->db->pool();
   // The whole statement answers at one MVCC horizon.
   request.read_tid = st->read_tid;
-  VertexSet& cand = st->cand[op->alias];
-  Bitmap bitmap;
-  if (!op->pure) {
-    bitmap = VertexSetToBitmap(cand, st->db->store()->vid_upper_bound());
-    request.filter = FilterView(&bitmap);
-  }
-  const size_t cand_in = cand.size();
+  CandidateSet& cand = st->cand[op->alias];
+  if (!op->pure) request.filter = FilterView(&cand);
+  const size_t cand_in = st->analyze && !op->pure ? cand.Count() : 0;
   const TraceSnapshot before = st->analyze ? SnapshotTrace() : TraceSnapshot{};
   const float radius = static_cast<float>(threshold);
   auto hits = st->db->cluster() != nullptr
@@ -652,50 +657,37 @@ Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
   // Range results (unbounded hit count, ef-doubling restarts) are not
   // admitted to the top-k result cache.
   TraceVectorSearch(*hits, cache::Outcome::kBypass);
-  VertexSet in_range;
   auto& distances = result->distances ? *result->distances : result->distances.emplace();
+  CandidateSet::Builder kept(st->db->store()->segment_capacity());
   for (const SearchHit& h : hits->hits) {
-    in_range.insert(h.label);
     distances[h.label] = h.distance;
+    if (op->pure || cand.Contains(h.label)) kept.Insert(h.label);
   }
-  if (op->pure) {
-    cand = std::move(in_range);
-  } else {
-    VertexSet kept;
-    for (VertexId vid : cand) {
-      if (in_range.count(vid) > 0) kept.insert(vid);
-    }
-    cand = std::move(kept);
-  }
+  cand = std::move(kept).Build();
   if (st->analyze) {
     AddActual(op, "candidates_in",
               op->pure ? "all (pure range)" : std::to_string(cand_in));
     AddActual(op, "hits_in_range", std::to_string(hits->hits.size()));
-    AddActual(op, "rows_out", std::to_string(cand.size()));
+    AddActual(op, "rows_out", std::to_string(cand.Count()));
     AddSearchActuals(before, st->db->cluster(), /*range=*/true, &op->node.actuals);
   }
   return Status::OK();
 }
 
-Status RunTopK(const QueryPlan& plan, QueryPlan::Op* op, const QueryParams& params,
-               ExecState* st, SelectResult* result) {
+Status RunTopK(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
+               SelectResult* result) {
   TV_SPAN("query.topk");
   const bool from_pattern = op->alias >= 0;
-  // A pure top-k's alias was never scanned (PlanSelect plans no scan for
-  // it), so the scan's read check runs here.
-  if (from_pattern && op->pure) {
-    TV_RETURN_NOT_OK(CheckCanRead(st->db, st->role, plan.aliases[op->alias].type_id));
-  }
   auto k = ResolveK(*op, params);
   if (!k.ok()) return k.status();
   auto query = ParamAsVector(params, op->query_param);
   if (!query.ok()) return query.status();
   // A SELECT's filter is its pattern's candidates: graph pattern and
-  // predicates become the bitmap one EmbeddingAction consumes (Sec.
+  // predicates become the bitmaps one EmbeddingAction consumes (Sec.
   // 5.2/5.3). VectorSearch() takes a vertex-set variable instead.
+  const CandidateSet* filter = from_pattern && !op->pure ? &st->cand[op->alias] : nullptr;
   Database::VectorSearchFnOptions options;
-  options.filter =
-      from_pattern ? (op->pure ? nullptr : &st->cand[op->alias]) : op->filter;
+  options.filter = op->filter;
   options.ef = op->ef;
   options.distance_map =
       result->distances ? &*result->distances : &result->distances.emplace();
@@ -705,17 +697,17 @@ Status RunTopK(const QueryPlan& plan, QueryPlan::Op* op, const QueryParams& para
   options.read_tid = st->read_tid;
   options.bypass_cache = st->cache_bypass;
   const TraceSnapshot before = st->analyze ? SnapshotTrace() : TraceSnapshot{};
-  auto hits = st->db->VectorSearch(op->attrs, **query, *k, options);
+  auto hits = st->db->VectorSearch(op->attrs, **query, *k, options, filter);
   if (!hits.ok()) return hits.status();
   result->vertices = std::move(hits).value();
   if (!st->analyze) return Status::OK();
-  if (options.filter != nullptr) {
-    AddActual(op, "filter_candidates", std::to_string(options.filter->size()));
-    if (from_pattern) {
-      AddActual(op, "filter_selectivity",
-                FmtSelectivity(options.filter->size(),
-                               st->db->store()->vid_upper_bound()));
-    }
+  if (op->filter != nullptr) {
+    AddActual(op, "filter_candidates", std::to_string(op->filter->size()));
+  } else if (filter != nullptr) {
+    const size_t count = filter->Count();
+    AddActual(op, "filter_candidates", std::to_string(count));
+    AddActual(op, "filter_selectivity",
+              FmtSelectivity(count, st->db->store()->vid_upper_bound()));
   } else if (from_pattern) {
     AddActual(op, "filter_candidates", "none (pure search)");
   }
@@ -751,7 +743,7 @@ Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
   };
   TopKHeap<std::pair<VertexId, VertexId>> heap(*k);  // ties by (s, t)
   size_t pairs_evaluated = 0;
-  for (VertexId s : st->cand[op->alias]) {
+  st->cand[op->alias].ForEach([&](VertexId s) {
     // Walk the chain to find reachable t's under the candidate sets.
     VertexSet frontier{s};
     for (size_t e = 0; e < plan.edges.size(); ++e) {
@@ -760,14 +752,14 @@ Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
         st->db->store()->ForEachNeighbor(
             vid, plan.edges[e].type, plan.edges[e].dir, st->read_tid,
             [&](VertexId peer) {
-              if (st->cand[e + 1].count(peer) > 0) next.insert(peer);
+              if (st->cand[e + 1].Contains(peer)) next.insert(peer);
             });
       }
       frontier = std::move(next);
     }
-    if (frontier.empty()) continue;
+    if (frontier.empty()) return;
     const std::vector<float>* sv = vec_of(s_vecs, op->attrs[0], s);
-    if (sv == nullptr) continue;
+    if (sv == nullptr) return;
     for (VertexId t : frontier) {
       if (s == t) continue;
       ++pairs_evaluated;
@@ -775,7 +767,7 @@ Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
       if (tv == nullptr) continue;
       heap.Push(ComputeDistance(op->info.metric, sv->data(), tv->data(), dim), {s, t});
     }
-  }
+  });
   result->is_join = true;
   for (const auto& e : heap.TakeSorted()) {
     result->pairs.push_back(SelectResult::Pair{e.id.first, e.id.second, e.distance});
@@ -895,8 +887,10 @@ Result<QueryPlan> QueryExecutor::PlanSelect(const SelectStmt& stmt,
     if (!def.ok()) return def.status();
     op.attrs = {{db_->schema()->vertex_type(node.type_id).name, dist.lhs->attr}};
     op.info = (*def)->info;
-    // Pre-filter: pure single-node range scans skip the bitmap entirely.
-    op.pure = nodes.size() == 1 && node.predicates.empty() && node.var == nullptr;
+    // A single bare alias's first range searches unfiltered; every later
+    // range keeps only the candidates of the ranges before it.
+    op.pure = nodes.size() == 1 && node.predicates.empty() && node.var == nullptr &&
+              ranges.empty();
     op.node.label = "EmbeddingAction[Range, {" + node.name + "." + dist.lhs->attr +
                     "}, " + ExprToString(*dist.rhs) + " < " +
                     ExprToString(threshold) + "]";
@@ -1004,13 +998,17 @@ Result<QueryPlan> QueryExecutor::PlanSelect(const SelectStmt& stmt,
     if (stmt.has_limit) plan.limit = static_cast<size_t>(stmt.limit);
   }
   for (QueryPlan::Op& op : ranges) plan.ops.push_back(std::move(op));
-  // A pure top-k reads no candidates: its one alias needs no scan.
-  const bool pure_topk = plan.ops.size() == 1 &&
-                         plan.ops[0].kind == QueryPlan::Op::Kind::kTopK &&
-                         plan.ops[0].pure;
+  // A single bare alias that a range or top-k searches needs no scan: the
+  // first of those ops (a range runs before the top-k) searches unfiltered.
+  const bool scan_free =
+      nodes.size() == 1 && nodes[0].predicates.empty() && nodes[0].var == nullptr &&
+      std::any_of(plan.ops.begin(), plan.ops.end(), [](const QueryPlan::Op& op) {
+        return op.kind == QueryPlan::Op::Kind::kRange ||
+               op.kind == QueryPlan::Op::Kind::kTopK;
+      });
 
   // ---- Pattern: VertexAction / EdgeAction, printed from the last node down ----
-  for (size_t i = pure_topk ? 0 : nodes.size(); i-- > 0;) {
+  for (size_t i = scan_free ? 0 : nodes.size(); i-- > 0;) {
     QueryPlan::Op scan;
     scan.kind = QueryPlan::Op::Kind::kScan;
     scan.alias = static_cast<int>(i);
@@ -1114,14 +1112,15 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
   } select_timer;
   using Kind = QueryPlan::Op::Kind;
   ExecState st{db_, role_, cache_bypass_, db_->store()->visible_tid(), analyze,
-               std::vector<VertexSet>(plan->aliases.size())};
+               std::vector<CandidateSet>(plan->aliases.size())};
   std::vector<ScanCacheProbe> probes(plan->aliases.size());
   std::vector<QueryPlan::Op>& ops = plan->ops;
 
   // ---- Candidate sets: the ops are stored top-down, so pattern order is
   // reverse op order. Every scan, then the semi-joins' forward pass in
   // pattern order and their backward pass in reverse ----
-  if (!plan->aliases.empty()) {
+  if (std::any_of(ops.begin(), ops.end(),
+                  [](const QueryPlan::Op& op) { return op.kind == Kind::kScan; })) {
     Timer cand_timer;
     for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
       if (op->kind != Kind::kScan) continue;
@@ -1140,12 +1139,16 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
     for (QueryPlan::Op& op : ops) {
       if (analyze && op.kind == Kind::kScan) {
         const ScanCacheProbe& probe = probes[op.alias];
-        AddActual(&op, "rows", std::to_string(st.cand[op.alias].size()));
+        AddActual(&op, "rows", std::to_string(st.cand[op.alias].Count()));
         AddActual(&op, "cache", ScanCacheLabel(probe.hits, probe.misses, probe.bypasses));
       } else if (analyze && op.kind == Kind::kSemiJoin) {
-        AddActual(&op, "rows_out", std::to_string(st.cand[op.alias + 1].size()));
+        AddActual(&op, "rows_out", std::to_string(st.cand[op.alias + 1].Count()));
       }
     }
+  } else if (!plan->aliases.empty()) {
+    // A scan-free plan's first vector op searches the type unscanned, so
+    // the scan's read check runs before it.
+    TV_RETURN_NOT_OK(CheckCanRead(db_, role_, plan->aliases[0].type_id));
   }
 
   // ---- Vector ops: range filters in statement order, then the top-k ----
@@ -1155,7 +1158,7 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
   }
   for (QueryPlan::Op& op : ops) {
     if (op.kind == Kind::kTopK) {
-      TV_RETURN_NOT_OK(RunTopK(*plan, &op, params, &st, &result));
+      TV_RETURN_NOT_OK(RunTopK(&op, params, &st, &result));
     }
     if (op.kind == Kind::kSimilarityJoin) {
       TV_RETURN_NOT_OK(RunSimilarityJoin(*plan, &op, params, &st, &result));
@@ -1163,15 +1166,9 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
   }
   if (plan->output < 0) return result;
 
-  // ---- Plain graph query: the selected alias's candidates ----
-  result.vertices = std::move(st.cand[plan->output]);
-  if (result.vertices.size() > plan->limit) {
-    // Deterministic truncation by vid.
-    std::vector<VertexId> sorted(result.vertices.begin(), result.vertices.end());
-    std::sort(sorted.begin(), sorted.end());
-    sorted.resize(plan->limit);
-    result.vertices = VertexSet(sorted.begin(), sorted.end());
-  }
+  // ---- Plain graph query: the selected alias's candidates, truncated by
+  // vid ----
+  result.vertices = CandidatesToVertexSet(st.cand[plan->output], plan->limit);
   for (QueryPlan::Op& op : ops) {
     if (analyze && op.kind == Kind::kScan && op.alias == plan->output) {
       AddActual(&op, "rows_returned", std::to_string(result.vertices.size()));

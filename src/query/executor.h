@@ -146,11 +146,20 @@ class QueryExecutor {
   Result<std::vector<QueryPlan::Alias>> ResolveNodes(const SelectStmt& stmt,
                                                      const VarMap& vars) const;
 
+  // One vertex as a predicate reads it: its type and its attributes, read
+  // under the segment lock its scan holds.
+  struct Row {
+    const VertexTypeDef* type;
+    const GraphSegment::Attrs* attrs;
+  };
+
   // Evaluates a scalar predicate for one vertex.
-  Result<bool> EvalPredicate(const Expr& expr, VertexId vid, Tid read_tid,
+  Result<bool> EvalPredicate(const Expr& expr, const Row& row,
                              const QueryParams& params) const;
-  Result<Value> EvalValue(const Expr& expr, VertexId vid, Tid read_tid,
-                          const QueryParams& params) const;
+  // A scalar's value, read in place: the literal, the vertex's attribute,
+  // or a $parameter converted into `scratch`.
+  Result<const Value*> EvalValue(const Expr& expr, const Row& row,
+                                 const QueryParams& params, Value* scratch) const;
 
   // Per-BaseSet tally of predicate-bitmap cache outcomes, summarized as
   // the `cache:` actual of the VertexAction plan node.
@@ -163,8 +172,8 @@ class QueryExecutor {
   // Base candidate set of a node (type scan or variable), with predicates.
   // Type scans consult the per-segment predicate bitmap cache; `probe`
   // receives the per-segment outcome tally.
-  Result<VertexSet> BaseSet(const QueryPlan::Alias& node, Tid read_tid,
-                            const QueryParams& params, ScanCacheProbe* probe) const;
+  Result<CandidateSet> BaseSet(const QueryPlan::Alias& node, Tid read_tid,
+                               const QueryParams& params, ScanCacheProbe* probe) const;
 
   Database* db_;
   std::string role_;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <iterator>
 
 namespace tigervector {
 
@@ -82,6 +83,35 @@ void Bitmap::SetAll() {
 
 void Bitmap::ClearAll() {
   words_.assign(words_.size(), 0);
+}
+
+size_t CandidateSet::Count() const {
+  size_t count = 0;
+  for (const auto& bits : segments_) {
+    if (bits != nullptr) count += bits->Count();
+  }
+  return count;
+}
+
+void CandidateSet::Builder::Insert(uint64_t id) {
+  const uint64_t s = id / capacity_;
+  if (s >= segments_.size()) segments_.resize(s + 1);
+  if (segments_[s] == nullptr) segments_[s] = std::make_shared<Bitmap>(capacity_);
+  segments_[s]->Set(id - s * capacity_);
+}
+
+CandidateSet CandidateSet::Builder::Build() && {
+  CandidateSet set(capacity_);
+  set.segments_.assign(std::make_move_iterator(segments_.begin()),
+                       std::make_move_iterator(segments_.end()));
+  return set;
+}
+
+FilterView FilterView::ForSegment(uint64_t base) const {
+  if (set_ == nullptr) return *this;
+  static const Bitmap kNone;
+  const Bitmap* bits = set_->segment(base / set_->segment_capacity());
+  return FilterView(bits != nullptr ? bits : &kNone, base);
 }
 
 }  // namespace tigervector

@@ -125,6 +125,30 @@ TEST_F(RbacFixture, PureTopKOfUnauthorizedTypeFailsLikeItsScan) {
   EXPECT_EQ(allowed->prints[0].vertices[0], pub_);
 }
 
+// A pure range plans no type scan either; its range search runs the scan's
+// read check first, so it is refused like the scan even before its
+// $parameters are checked.
+TEST_F(RbacFixture, PureRangeOfUnauthorizedTypeFailsLikeItsScan) {
+  session_->SetRole("analyst");
+  QueryParams params;
+  params["qv"] = std::vector<float>{1, 0, 0, 0};
+  auto scan = session_->Run("R = SELECT s FROM (s:Secret);");
+  ASSERT_FALSE(scan.ok());
+  for (const QueryParams& bound : {params, QueryParams{}}) {
+    auto range = session_->Run(
+        "R = SELECT s FROM (s:Secret) WHERE VECTOR_DIST(s.emb, $qv) < 1.0;", bound);
+    ASSERT_FALSE(range.ok());
+    EXPECT_EQ(range.status().code(), scan.status().code());
+    EXPECT_EQ(range.status().message(), scan.status().message());
+  }
+
+  auto allowed = session_->Run(
+      "R = SELECT s FROM (s:Pub) WHERE VECTOR_DIST(s.emb, $qv) < 1.0; PRINT R;", params);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  ASSERT_EQ(allowed->prints[0].vertices.size(), 1u);
+  EXPECT_EQ(allowed->prints[0].vertices[0], pub_);
+}
+
 TEST_F(RbacFixture, UnauthorizedVerticesDroppedFromVariableFilter) {
   // A variable containing a mix of authorized and unauthorized vertices is
   // silently reduced to the readable subset.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "algo/louvain.h"
@@ -88,6 +89,70 @@ TEST_F(AlgoFixture, VertexSetToBitmapRoundTrip) {
   // Out-of-bound ids are dropped.
   Bitmap bm2 = VertexSetToBitmap({3, 100}, 10);
   EXPECT_EQ(bm2.Count(), 1u);
+}
+
+// A CandidateSet answers exactly like the VertexSet it was converted from:
+// membership, count and vid-order iteration across segment boundaries, the
+// per-segment filter view, and no members in a segment created after it.
+TEST(CandidateSetTest, MatchesVertexSetOracle) {
+  Database::Options options;
+  options.store.segment_capacity = 64;
+  Database db(options);
+  ASSERT_TRUE(db.schema()->CreateVertexType("Node", {{"x", AttrType::kInt}}).ok());
+  auto add = [&] {
+    Transaction txn = db.Begin();
+    auto vid = txn.InsertVertex("Node", {int64_t{0}});
+    EXPECT_TRUE(vid.ok());
+    EXPECT_TRUE(txn.Commit().ok());
+    return *vid;
+  };
+  for (int i = 0; i < 200; ++i) add();  // segments 0..3, the last one partial
+  const VertexId upper = db.store()->vid_upper_bound();
+  VertexSet oracle = {0, 63, 64, 127, 128, 191, 192, upper - 1};
+  for (VertexId vid = 0; vid < upper; ++vid) {
+    if (vid % 7 == 3 && vid / 64 != 2) oracle.insert(vid);  // segment 2: ends only
+  }
+  VertexSet with_stray = oracle;
+  with_stray.insert(upper + 500);  // not a vertex yet: dropped
+  const CandidateSet cand = VertexSetToCandidates(with_stray, *db.store());
+
+  EXPECT_EQ(cand.Count(), oracle.size());
+  for (VertexId vid = 0; vid < upper + 3 * 64; ++vid) {
+    ASSERT_EQ(cand.Contains(vid), oracle.count(vid) > 0) << vid;
+  }
+  std::vector<VertexId> walked;
+  cand.ForEach([&](VertexId vid) { walked.push_back(vid); });
+  std::vector<VertexId> sorted(oracle.begin(), oracle.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(walked, sorted);
+  EXPECT_EQ(CandidatesToVertexSet(cand), oracle);
+  EXPECT_EQ(CandidatesToVertexSet(cand, 5),
+            VertexSet(sorted.begin(), sorted.begin() + 5));
+
+  // Narrowed to one segment, the view accepts that segment's members only.
+  const FilterView all(&cand);
+  for (VertexId base = 0; base < upper; base += 64) {
+    const FilterView narrowed = all.ForSegment(base);
+    ASSERT_NE(narrowed.bitmap(), nullptr);
+    EXPECT_EQ(narrowed.bitmap()->Count(),
+              static_cast<size_t>(std::count_if(
+                  sorted.begin(), sorted.end(),
+                  [&](VertexId vid) { return vid / 64 == base / 64; })));
+    for (VertexId vid = 0; vid < upper; ++vid) {
+      ASSERT_EQ(narrowed.Accepts(vid), vid / 64 == base / 64 && oracle.count(vid) > 0)
+          << base << " " << vid;
+    }
+  }
+
+  // A vertex in a segment created after the set was built is no candidate.
+  VertexId late = 0;
+  while (late / 64 < 5) late = add();
+  EXPECT_GT(db.store()->NumSegments(), cand.num_segments());
+  EXPECT_FALSE(cand.Contains(late));
+  EXPECT_FALSE(all.Accepts(late));
+  const FilterView late_view = all.ForSegment(late / 64 * 64);
+  EXPECT_FALSE(late_view.Accepts(late));
+  EXPECT_FALSE(late_view.accepts_all());
 }
 
 TEST_F(AlgoFixture, CollectVerticesOfType) {

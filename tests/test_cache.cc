@@ -35,10 +35,11 @@ TEST(FingerprintTest, ExactValuePins) {
   const Fingerprint s = cache::FingerprintString("Post.content_emb");
   EXPECT_EQ(s.hi, 0xab2461bb35df23e6ULL);
   EXPECT_EQ(s.lo, 0x192eb386ccd63e44ULL);
-  const std::vector<uint64_t> ids = {3, 7, 11};
-  const Fingerprint u = cache::FingerprintIdSetUnordered(ids);
-  EXPECT_EQ(u.hi, 0xd051c81a8bcb1e00ULL);
-  EXPECT_EQ(u.lo, 0xe12c4545c37feb44ULL);
+  CandidateSet::Builder ids(64);
+  for (uint64_t id : {3, 7, 11, 70}) ids.Insert(id);
+  const Fingerprint u = cache::FingerprintCandidates(std::move(ids).Build());
+  EXPECT_EQ(u.hi, 0x78dbb87d4e0e6202ULL);
+  EXPECT_EQ(u.lo, 0x7ab1bfe0a867c2c1ULL);
   const float q[4] = {1.0f, 2.0f, 3.0f, 4.0f};
   const Fingerprint b = cache::FingerprintBytes(q, sizeof(q));
   EXPECT_EQ(b.hi, 0x0db431570f940fb2ULL);
@@ -68,21 +69,35 @@ TEST(FingerprintTest, DistinctInputsDistinctFingerprints) {
             cache::FingerprintBytes(q2, sizeof(q2)));
 }
 
-TEST(FingerprintTest, IdSetFingerprintIsOrderIndependent) {
-  const std::vector<uint64_t> a = {5, 900, 17, 3};
-  const std::vector<uint64_t> b = {3, 17, 900, 5};
-  EXPECT_EQ(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(b));
-  // ...but content-sensitive: one extra, one missing, and a swapped element
-  // all change it.
-  const std::vector<uint64_t> c = {5, 900, 17};
-  const std::vector<uint64_t> d = {5, 900, 17, 4};
-  EXPECT_NE(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(c));
-  EXPECT_NE(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(d));
-  // Empty set is distinct from {0}.
-  const std::vector<uint64_t> empty;
-  const std::vector<uint64_t> zero = {0};
-  EXPECT_NE(cache::FingerprintIdSetUnordered(empty),
-            cache::FingerprintIdSetUnordered(zero));
+CandidateSet Candidates(std::initializer_list<uint64_t> ids) {
+  CandidateSet::Builder out(64);
+  for (uint64_t id : ids) out.Insert(id);
+  return std::move(out).Build();
+}
+
+TEST(FingerprintTest, CandidateFingerprintIsContentOnly) {
+  const CandidateSet a = Candidates({5, 900, 17, 3});
+  // Same members inserted in another order, plus an all-clear bitmap where
+  // `a` has none: the same contents, so the same key.
+  CandidateSet b = Candidates({3, 17, 900, 5});
+  b.set_segment(3, std::make_shared<Bitmap>(64));
+  EXPECT_EQ(cache::FingerprintCandidates(a), cache::FingerprintCandidates(b));
+  // ...but content-sensitive: one missing, one extra, and one moved to the
+  // same offset of another segment all change it.
+  EXPECT_NE(cache::FingerprintCandidates(a),
+            cache::FingerprintCandidates(Candidates({5, 900, 17})));
+  EXPECT_NE(cache::FingerprintCandidates(a),
+            cache::FingerprintCandidates(Candidates({5, 900, 17, 3, 4})));
+  EXPECT_NE(cache::FingerprintCandidates(a),
+            cache::FingerprintCandidates(Candidates({5, 900, 17, 67})));
+  // The empty set is distinct from {0}, and never aliases the accept-all
+  // filter's key.
+  const CandidateSet empty;
+  EXPECT_NE(cache::FingerprintCandidates(empty),
+            cache::FingerprintCandidates(Candidates({0})));
+  EXPECT_NE(cache::FingerprintCandidates(empty), Fingerprint{});
+  EXPECT_EQ(cache::FingerprintCandidates(empty),
+            cache::FingerprintCandidates(Candidates({})));
 }
 
 TEST(FingerprintTest, VersionWordsAreExactNotHashed) {

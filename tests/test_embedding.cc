@@ -512,20 +512,6 @@ TEST_F(EmbeddingServiceFixture, AtomicGraphPlusVectorCommit) {
   EXPECT_TRUE(service_->GetEmbedding("Post", "emb", *vid, buf).ok());
 }
 
-TEST_F(EmbeddingServiceFixture, SuggestVacuumThreadsBacksOffUnderLoad) {
-  EXPECT_EQ(service_->SuggestVacuumThreads(), service_->options().max_vacuum_threads);
-  // No active searches -> full parallelism. (Active-search backoff is
-  // covered implicitly; the counter is exercised by every search.)
-  std::vector<float> q = {1, 0, 0, 0};
-  AddPost("en", {1, 0, 0, 0});
-  VectorSearchRequest request;
-  request.attrs = {{"Post", "emb"}};
-  request.query = q.data();
-  request.k = 1;
-  ASSERT_TRUE(service_->TopKSearch(request).ok());
-  EXPECT_EQ(service_->active_searches(), 0u);
-}
-
 TEST_F(EmbeddingServiceFixture, DiskBackedDeltaFilesRoundTripThroughVacuum) {
   // Re-create the service with a delta directory: stage 1 persists files,
   // stage 2 retires them from disk.

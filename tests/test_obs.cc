@@ -330,6 +330,28 @@ TEST_F(ObsProfileFixture, ProfileTopKReportsHnswSearchTime) {
 #endif
 }
 
+// The candidate stage is timed only when the plan scans: a pure top-k plans
+// no VertexAction, so its PROFILE has no query.candidates row, while a
+// filtered top-k has one.
+TEST_F(ObsProfileFixture, PureTopKHasNoCandidateStage) {
+  QueryParams params;
+  params["qv"] = std::vector<float>{7, 0, 0, 0};
+  auto pure = session_->Run(
+      "PROFILE R = SELECT s FROM (s:Item)"
+      " ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 5; PRINT R;",
+      params);
+  ASSERT_TRUE(pure.ok()) << pure.status().ToString();
+  EXPECT_EQ(pure->explain.find("VertexAction"), std::string::npos) << pure->explain;
+  EXPECT_EQ(pure->explain.find("query.candidates"), std::string::npos) << pure->explain;
+  auto filtered = session_->Run(
+      "PROFILE R = SELECT s FROM (s:Item) WHERE s.kind = \"k\""
+      " ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 5; PRINT R;",
+      params);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_GE(PlanTextValue(filtered->explain, "query.candidates"), 0.0)
+      << filtered->explain;
+}
+
 TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
   QueryParams params;
   params["qv"] = std::vector<float>{1, 0, 0, 0};

@@ -308,6 +308,40 @@ TEST_F(QuerySessionFixture, FilteredSearchByAttribute) {
   EXPECT_NE(result->explain.find("VertexAction[Post:s"), std::string::npos);
 }
 
+// A pattern's semi-join prunes the Post candidates it started from, a
+// bitmap the scan admitted to the cache and so shares with later queries.
+// The next plain scan with the same predicate, served from that bitmap,
+// still sees every English post.
+TEST_F(QuerySessionFixture, SemiJoinLeavesCachedScanBitmapWhole) {
+  auto pattern = session_->Run(
+      "R = SELECT t FROM (s:Person) <-[:hasCreator]- (t:Post)"
+      " WHERE s.firstName = \"Alice\" AND t.language = \"English\"; PRINT R;");
+  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+  EXPECT_EQ(pattern->prints[0].vertices, std::vector<VertexId>{posts_[0]});
+
+  auto scan = session_->Run(
+      "EXPLAIN ANALYZE R = SELECT t FROM (t:Post) WHERE t.language = \"English\";"
+      " PRINT R;");
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_NE(scan->explain.find("* cache: hit"), std::string::npos) << scan->explain;
+  EXPECT_EQ(scan->prints[0].vertices,
+            (std::vector<VertexId>{posts_[0], posts_[3], posts_[6], posts_[9]}));
+}
+
+// Two ranges on one bare alias: the first searches unfiltered and the
+// second keeps only the first's hits, so R is their intersection.
+TEST_F(QuerySessionFixture, SecondRangeKeepsOnlyTheFirstRangesHits) {
+  QueryParams params = Params({0, 0, 0, 0});
+  params["qw"] = std::vector<float>{2, 0, 0, 0};
+  // Embeddings 0 and 1 are within squared distance 2 of $qv, 1 and 2 of $qw.
+  auto result = session_->Run(
+      "R = SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 2.0"
+      " AND VECTOR_DIST(s.content_emb, $qw) < 2.0; PRINT R;",
+      params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->prints[0].vertices, std::vector<VertexId>{posts_[1]});
+}
+
 TEST_F(QuerySessionFixture, GraphPatternVectorSearch) {
   // Posts by people Alice knows (persons 1 and 2), closest to 10.
   auto result = session_->Run(
