@@ -364,7 +364,9 @@ void EmbeddingSegment::RebuildFirstPendingLocked() {
 namespace {
 
 // Trampoline context combining the user filter with the pending-override
-// check, handed to the HNSW index as its validity predicate.
+// check, handed to the index as its validity predicate. The composite view
+// also carries the user filter's bitmap, so the brute-force tier walks the
+// segment's candidates instead of every row.
 struct CompositeFilterCtx {
   const FilterView* user_filter;
   // Overridden ids, from the search's snapshot.
@@ -413,7 +415,7 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
   SearchOutput out;
   const FilterView filter = options.filter.ForSegment(base_vid_);
   CompositeFilterCtx ctx{&filter, &snap.pending};
-  FilterView composite(&CompositeAccepts, &ctx);
+  FilterView composite(filter.bitmap(), filter.base(), &CompositeAccepts, &ctx);
   out.used_bruteforce = UseBruteForce(filter, options.bruteforce_threshold);
   {
     // Per-query quantization scope: lets the index rank on SQ8 codes (when
@@ -437,7 +439,7 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
   SearchOutput out;
   const FilterView filter = options.filter.ForSegment(base_vid_);
   CompositeFilterCtx ctx{&filter, &snap.pending};
-  FilterView composite(&CompositeAccepts, &ctx);
+  FilterView composite(filter.bitmap(), filter.base(), &CompositeAccepts, &ctx);
   // Range answers stay exact: the brute-force tier is an exact fp32 range
   // scan, which the differential harness relies on for its strict oracle
   // tier, and the index's RangeSearch pins fp32 itself.

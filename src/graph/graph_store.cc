@@ -313,15 +313,32 @@ void GraphStore::ForEachNeighbor(VertexId vid, EdgeTypeId etype, Direction dir,
                                  const std::function<void(VertexId)>& fn) const {
   const GraphSegment* seg = SegmentForConst(vid);
   if (seg == nullptr) return;
-  auto visible_fn = [&](VertexId peer) {
-    if (IsVisible(peer, read_tid)) fn(peer);
-  };
+  // The peers are copied out under vid's segment lock and checked after it
+  // is released: IsVisible takes the peer's segment lock, and two walks in
+  // opposite directions would otherwise take two segment locks in opposite
+  // orders.
+  std::vector<VertexId> peers;
+  auto collect = [&](VertexId peer) { peers.push_back(peer); };
   if (dir == Direction::kOut || dir == Direction::kAny) {
-    seg->ForEachEdge(vid, etype, /*out=*/true, read_tid, visible_fn);
+    seg->ForEachEdge(vid, etype, /*out=*/true, read_tid, collect);
   }
   if (dir == Direction::kIn || dir == Direction::kAny) {
-    seg->ForEachEdge(vid, etype, /*out=*/false, read_tid, visible_fn);
+    seg->ForEachEdge(vid, etype, /*out=*/false, read_tid, collect);
   }
+  for (VertexId peer : peers) {
+    if (IsVisible(peer, read_tid)) fn(peer);
+  }
+}
+
+Direction GraphStore::ReverseDirection(EdgeTypeId etype, Direction dir) const {
+  // Undirected relations are symmetric (kIn is empty both ways).
+  if (!schema_->edge_type(etype).directed) return dir;
+  switch (dir) {
+    case Direction::kOut: return Direction::kIn;
+    case Direction::kIn: return Direction::kOut;
+    case Direction::kAny: return Direction::kAny;
+  }
+  return dir;
 }
 
 void GraphStore::VertexAction(

@@ -121,9 +121,18 @@ class GraphStore {
   Result<Value> GetAttr(VertexId vid, const std::string& attr_name, Tid read_tid) const;
   Result<Value> GetAttrByIndex(VertexId vid, uint16_t attr_idx, Tid read_tid) const;
 
-  // Visible out-/in-neighbors over one edge type.
+  // Visible out-/in-neighbors over one edge type. An undirected edge is
+  // stored as an out entry on both endpoints, so on an undirected type kOut
+  // and kAny reach every neighbor and kIn reaches none. `fn` runs with no
+  // segment lock held.
   void ForEachNeighbor(VertexId vid, EdgeTypeId etype, Direction dir, Tid read_tid,
                        const std::function<void(VertexId)>& fn) const;
+
+  // The direction that walks `dir`'s relation backwards:
+  // ForEachNeighbor(p, etype, ReverseDirection(etype, dir)) reaches v
+  // exactly when ForEachNeighbor(v, etype, dir) reaches p. Both entries of
+  // an edge carry the same tids, so this holds at every read_tid.
+  Direction ReverseDirection(EdgeTypeId etype, Direction dir) const;
 
   // VertexAction parallel primitive: runs fn over every segment (in
   // parallel when pool != nullptr). fn receives the segment; it typically

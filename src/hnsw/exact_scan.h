@@ -71,6 +71,24 @@ inline std::vector<SearchHit> ExactRerank(const ScanQuery& q, size_t k,
   return out;
 }
 
+// The candidate walk of the brute-force tier (paper Sec. 5.1). When `filter`
+// carries a bitmap with fewer set bits than the index has `rows`, calls
+// visit(label) for the label base + i of each set bit i, in ascending order,
+// until visit returns false, and returns true; the index looks each label up
+// under its own lock. Otherwise it visits nothing and returns false, and the
+// index walks its rows. Both walks offer the scan the same filter-accepted
+// live rows, so the answer does not depend on which one runs.
+template <typename Visit>
+bool ForEachCandidateLabel(const FilterView& filter, size_t rows, Visit&& visit) {
+  const Bitmap* bits = filter.bitmap();
+  if (bits == nullptr || bits->Count() >= rows) return false;
+  bool more = true;
+  bits->ForEachSet([&](size_t i) {
+    if (more) more = visit(filter.base() + i);
+  });
+  return true;
+}
+
 // The one exact scan (paper Sec. 5.1's brute-force tier, the IVF_FLAT list
 // probe, and the delta overlay of Sec. 4.3): the k nearest filter-accepted
 // rows with distance < max_distance, sorted by (distance, label).

@@ -139,14 +139,21 @@ std::vector<SearchHit> FlatIndex::BruteForceSearch(const float* query, size_t k,
   std::shared_lock<std::shared_mutex> lock(mu_);
   const ScanQuery q{metric_, dim_, query, quant_trained_ ? &qparams_ : nullptr};
   return ExactScan(q, k, max_distance, filter, nullptr, [&](auto&& emit) {
-    for (size_t row = 0; row < order_.size(); ++row) {
-      const Slot& slot = slots_.find(order_[row])->second;
-      if (slot.deleted) continue;
+    // Offers `label`'s row unless deleted; false once the scan stops.
+    auto offer = [&](uint64_t label, const Slot& slot) {
+      if (slot.deleted) return true;
       const int8_t* code = quant_trained_ ? codes_.data() + slot.offset : nullptr;
-      if (!emit(order_[row], data_.data() + slot.offset, code,
-                quant_trained_ ? norms_[row] : 0)) {
-        return;
-      }
+      return emit(label, data_.data() + slot.offset, code,
+                  quant_trained_ ? norms_[slot.offset / dim_] : 0);
+    };
+    const bool by_label =
+        ForEachCandidateLabel(filter, order_.size(), [&](uint64_t label) {
+          const auto it = slots_.find(label);
+          return it == slots_.end() || offer(label, it->second);
+        });
+    if (by_label) return;
+    for (const uint64_t label : order_) {
+      if (!offer(label, slots_.find(label)->second)) return;
     }
   });
 }

@@ -737,19 +737,33 @@ std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
   ScanCounts counts;
   std::vector<SearchHit> out =
       ExactScan(q, k, max_distance, filter, &counts, [&](auto&& emit) {
-        for (uint32_t id = 0; id < count; ++id) {
+        // Offers node `id` unless tombstoned; false once the scan stops.
+        auto offer = [&](uint32_t id) {
           uint64_t label;
           {
             std::lock_guard<std::mutex> lock(node_locks_[id]);
             const Node& node = nodes_[id];
-            if (node.deleted) continue;
+            if (node.deleted) return true;
             label = node.label;
           }
           const int8_t* code =
               id < encoded ? tier->codes.data() + size_t{id} * params_.dim : nullptr;
-          if (!emit(label, DataAt(id), code, code != nullptr ? tier->norms[id] : 0)) {
-            return;
+          return emit(label, DataAt(id), code, code != nullptr ? tier->norms[id] : 0);
+        };
+        const bool by_label = ForEachCandidateLabel(filter, count, [&](uint64_t label) {
+          uint32_t id;
+          {
+            std::lock_guard<std::mutex> lock(global_mu_);
+            const auto it = label_to_id_.find(label);
+            if (it == label_to_id_.end()) return true;  // no vector
+            id = it->second;
           }
+          // A node inserted after `count` was read is past this scan.
+          return id >= count || offer(id);
+        });
+        if (by_label) return;
+        for (uint32_t id = 0; id < count; ++id) {
+          if (!offer(id)) return;
         }
       });
   CountDistComps(counts.scored + counts.reranked);

@@ -263,6 +263,12 @@ std::vector<SearchHit> IvfFlatIndex::BruteForceSearch(const float* query, size_t
   const ScanQuery q{params_.metric, params_.dim, query,
                     quant_trained_ ? &qparams_ : nullptr};
   return ExactScan(q, k, max_distance, filter, nullptr, [&](auto&& emit) {
+    const bool by_label =
+        ForEachCandidateLabel(filter, records_.size(), [&](uint64_t label) {
+          const auto it = by_label_.find(label);
+          return it == by_label_.end() || EmitLocked(it->second, emit);
+        });
+    if (by_label) return;
     for (size_t idx = 0; idx < records_.size(); ++idx) {
       if (!EmitLocked(idx, emit)) return;
     }

@@ -101,10 +101,13 @@ class VectorIndex {
   // distance < max_distance, sorted by (distance, label), so a tie goes to
   // the lower label. A finite max_distance makes it an exact fp32 range
   // scan. An unbounded scan on a trained quantized tier ranks on SQ8 codes
-  // and reranks the best rerank_factor*k in fp32. The request deadline is
-  // polled every kCancelCheckInterval rows; once it fires the scan stops
-  // and its partial result is for the caller to discard. Every index
-  // implements this through the one scan in hnsw/exact_scan.h.
+  // and reranks the best rerank_factor*k in fp32. A filter whose bitmap
+  // sets fewer bits than the index has rows is walked by its set bits
+  // (ForEachCandidateLabel), so the cost follows the candidates; otherwise
+  // every row is walked. The request deadline is polled every
+  // kCancelCheckInterval rows; once it fires the scan stops and its partial
+  // result is for the caller to discard. Every index implements this
+  // through the one scan in hnsw/exact_scan.h.
   virtual std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
                                                   const FilterView& filter,
                                                   float max_distance) const = 0;

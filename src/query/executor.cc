@@ -591,35 +591,54 @@ struct ExecState {
   std::vector<CandidateSet> cand;
 };
 
-// The semi-joins write new sets: a scan's bitmaps may be shared with the
-// bitmap cache and with other queries.
-void RunSemiJoin(const QueryPlan& plan, const QueryPlan::Op& op, bool forward,
-                 ExecState* st) {
-  const QueryPlan::Edge& edge = plan.edges[op.alias];
-  CandidateSet& near = st->cand[op.alias];
-  CandidateSet& far = st->cand[op.alias + 1];
-  CandidateSet::Builder kept(st->db->store()->segment_capacity());
-  if (forward) {
-    // Keep the far scan's vertices reached from a near candidate.
-    near.ForEach([&](VertexId vid) {
-      st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
-                                       [&](VertexId peer) {
-                                         if (far.Contains(peer)) kept.Insert(peer);
-                                       });
+// One pass of an EdgeAction's semi-join over edge `op.alias`, which joins
+// the candidates of aliases `near` (op.alias) and `far` (op.alias + 1). The
+// forward pass keeps the far candidates with a neighbor among the near ones;
+// the backward pass keeps the near candidates with one among the far ones.
+// Either pass walks the edges of the side with fewer candidates (exact
+// popcounts), from the far side along the reverse relation, so the work is
+// proportional to the smaller side. A pass writes a new set: a scan's
+// bitmaps may be shared with the bitmap cache and with other queries.
+Status RunSemiJoin(const QueryPlan& plan, QueryPlan::Op* op, bool forward,
+                   ExecState* st) {
+  const QueryPlan::Edge& edge = plan.edges[op->alias];
+  const GraphStore* store = st->db->store();
+  const int near = op->alias, far = op->alias + 1;
+  const int walked = st->cand[near].Count() <= st->cand[far].Count() ? near : far;
+  const int other = walked == near ? far : near;
+  const Direction dir =
+      walked == near ? edge.dir : store->ReverseDirection(edge.type, edge.dir);
+  const CandidateSet& from = st->cand[walked];
+  const CandidateSet& to = st->cand[other];
+  // The pass filters `forward ? far : near`: the walked side itself, kept
+  // when it reaches the other, or the other side, kept where it is reached.
+  const bool keep_walked = walked == (forward ? far : near);
+  CandidateSet::Builder kept(store->segment_capacity());
+  uint32_t visited = 0;
+  Status status = Status::OK();
+  from.ForEach([&](VertexId vid) {
+    if (!status.ok()) return;
+    if ((++visited & (kCancelCheckInterval - 1)) == 0) {
+      status = CancelCheckStatus();
+      if (!status.ok()) return;
+    }
+    bool reached = false;
+    store->ForEachNeighbor(vid, edge.type, dir, st->read_tid, [&](VertexId peer) {
+      if (keep_walked && reached) return;  // one neighbor is enough
+      if (!to.Contains(peer)) return;
+      reached = true;
+      if (!keep_walked) kept.Insert(peer);
     });
-    far = std::move(kept).Build();
-    return;
-  }
-  // Keep near candidates with at least one neighbor among the far ones.
-  near.ForEach([&](VertexId vid) {
-    bool has = false;
-    st->db->store()->ForEachNeighbor(vid, edge.type, edge.dir, st->read_tid,
-                                     [&](VertexId peer) {
-                                       if (!has && far.Contains(peer)) has = true;
-                                     });
-    if (has) kept.Insert(vid);
+    if (keep_walked && reached) kept.Insert(vid);
   });
-  near = std::move(kept).Build();
+  TV_RETURN_NOT_OK(status);
+  st->cand[forward ? far : near] = std::move(kept).Build();
+  if (st->analyze) {
+    AddActual(op, forward ? "forward" : "backward",
+              "walked " + plan.aliases[walked].name + " (" +
+                  std::to_string(visited) + ")");
+  }
+  return Status::OK();
 }
 
 Status RunRange(QueryPlan::Op* op, const QueryParams& params, ExecState* st,
@@ -743,7 +762,13 @@ Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
   };
   TopKHeap<std::pair<VertexId, VertexId>> heap(*k);  // ties by (s, t)
   size_t pairs_evaluated = 0;
+  // The request deadline is polled once per s; a fired token fails the
+  // statement rather than returning the pairs found so far.
+  Status status = Status::OK();
   st->cand[op->alias].ForEach([&](VertexId s) {
+    if (!status.ok()) return;
+    status = CancelCheckStatus();
+    if (!status.ok()) return;
     // Walk the chain to find reachable t's under the candidate sets.
     VertexSet frontier{s};
     for (size_t e = 0; e < plan.edges.size(); ++e) {
@@ -768,6 +793,7 @@ Status RunSimilarityJoin(const QueryPlan& plan, QueryPlan::Op* op,
       heap.Push(ComputeDistance(op->info.metric, sv->data(), tv->data(), dim), {s, t});
     }
   });
+  TV_RETURN_NOT_OK(status);
   result->is_join = true;
   for (const auto& e : heap.TakeSorted()) {
     result->pairs.push_back(SelectResult::Pair{e.id.first, e.id.second, e.distance});
@@ -1035,7 +1061,9 @@ Result<QueryPlan> QueryExecutor::PlanSelect(const SelectStmt& stmt,
     edge.alias = static_cast<int>(i - 1);
     edge.node.label = "EdgeAction[" + nodes[i - 1].name + " -" +
                       stmt.pattern.edges[i - 1].edge_type + "- " + nodes[i].name + "]";
-    edge.node.details.push_back("semi-join: forward then backward pass");
+    edge.node.details.push_back(
+        "semi-join: forward then backward pass, each walking the edges of the side "
+        "with fewer candidates");
     plan.ops.push_back(std::move(edge));
   }
   obs::RecordSpanMicros("query.plan", plan_timer.ElapsedMicros());
@@ -1100,7 +1128,7 @@ Result<QueryPlan> QueryExecutor::PlanVectorSearch(const VectorSearchStmt& stmt,
 }
 
 Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& params,
-                                            bool analyze) {
+                                            bool analyze, Tid read_tid) {
   TV_SPAN("query.execute");
   TV_COUNTER_INC("tv.query.selects_total");
   // Records the latency on every exit path.
@@ -1111,7 +1139,8 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
     }
   } select_timer;
   using Kind = QueryPlan::Op::Kind;
-  ExecState st{db_, role_, cache_bypass_, db_->store()->visible_tid(), analyze,
+  ExecState st{db_, role_, cache_bypass_,
+               std::min(read_tid, db_->store()->visible_tid()), analyze,
                std::vector<CandidateSet>(plan->aliases.size())};
   std::vector<ScanCacheProbe> probes(plan->aliases.size());
   std::vector<QueryPlan::Op>& ops = plan->ops;
@@ -1130,10 +1159,14 @@ Result<SelectResult> QueryExecutor::Execute(QueryPlan* plan, const QueryParams& 
       st.cand[op->alias] = std::move(base).value();
     }
     for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
-      if (op->kind == Kind::kSemiJoin) RunSemiJoin(*plan, *op, /*forward=*/true, &st);
+      if (op->kind == Kind::kSemiJoin) {
+        TV_RETURN_NOT_OK(RunSemiJoin(*plan, &*op, /*forward=*/true, &st));
+      }
     }
-    for (const QueryPlan::Op& op : ops) {
-      if (op.kind == Kind::kSemiJoin) RunSemiJoin(*plan, op, /*forward=*/false, &st);
+    for (QueryPlan::Op& op : ops) {
+      if (op.kind == Kind::kSemiJoin) {
+        TV_RETURN_NOT_OK(RunSemiJoin(*plan, &op, /*forward=*/false, &st));
+      }
     }
     obs::RecordSpanMicros("query.candidates", cand_timer.ElapsedMicros());
     for (QueryPlan::Op& op : ops) {

@@ -137,10 +137,11 @@ class QueryExecutor {
   Result<QueryPlan> PlanVectorSearch(const VectorSearchStmt& stmt,
                                      const VarMap& vars) const;
 
-  // Runs a plan at one MVCC horizon. With `analyze` each op records its
-  // actuals in its plan node.
+  // Runs a plan at one MVCC horizon: `read_tid`, capped at the store's
+  // visible tid, so the default answers at the latest commit. With `analyze`
+  // each op records its actuals in its plan node.
   Result<SelectResult> Execute(QueryPlan* plan, const QueryParams& params,
-                               bool analyze);
+                               bool analyze, Tid read_tid = kMaxTid);
 
  private:
   Result<std::vector<QueryPlan::Alias>> ResolveNodes(const SelectStmt& stmt,

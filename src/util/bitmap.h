@@ -144,12 +144,17 @@ class FilterView {
   using Predicate = bool (*)(const void* ctx, uint64_t id);
   FilterView(Predicate pred, const void* ctx) : pred_(pred), ctx_(ctx) {}
 
+  // Accepts the ids that both `bitmap` (as above; may be null) and `pred`
+  // accept. The bitmap stays visible to an index, whose brute-force tier
+  // walks its set bits.
+  FilterView(const Bitmap* bitmap, uint64_t base, Predicate pred, const void* ctx)
+      : bitmap_(bitmap), base_(base), pred_(pred), ctx_(ctx) {}
+
   bool Accepts(uint64_t id) const {
     // An id below base_ wraps around to a huge offset, which Test rejects.
-    if (bitmap_ != nullptr) return bitmap_->Test(id - base_);
+    if (bitmap_ != nullptr && !bitmap_->Test(id - base_)) return false;
     if (set_ != nullptr) return set_->Contains(id);
-    if (pred_ != nullptr) return pred_(ctx_, id);
-    return true;
+    return pred_ == nullptr || pred_(ctx_, id);
   }
 
   // The view a search of the segment starting at `base` uses (a multiple

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "embedding/embedding_segment.h"
 #include "embedding/embedding_service.h"
@@ -261,6 +266,138 @@ TEST_F(EmbeddingSegmentFixture, BruteForceThresholdPath) {
   options.bruteforce_threshold = 1;
   out = segment_->TopKSearch(q, options);
   EXPECT_FALSE(out.used_bruteforce);
+}
+
+// The brute-force tier walks a segment's candidates, not its rows. Each
+// index type, fp32 and SQ8, is given a candidate bitmap that mixes live
+// ids, a pending upsert over an indexed row, a pending delete, a tombstone,
+// a pending insert, an id without a vector and ids of other segments. It
+// must answer as the full-row walk does: a global bitmap that also covers
+// the next segments has more set bits than the index has rows, which takes
+// that walk. This holds for top-k and range. With k at or above the live
+// candidate count, every live candidate comes back with its exact distance.
+TEST(BruteForceTierTest, CandidateWalkMatchesRowWalk) {
+  constexpr VertexId kBase = 64;
+  constexpr uint32_t kCapacity = 64;
+  auto vec = [](VertexId id, float shift) {
+    return std::vector<float>{static_cast<float>(id - kBase) + shift,
+                              static_cast<float>((id * 7) % 5),
+                              static_cast<float>((id * 3) % 11), 1};
+  };
+  auto pairs = [](const std::vector<SearchHit>& hits) {
+    std::vector<std::pair<float, uint64_t>> out;
+    for (const SearchHit& h : hits) out.emplace_back(h.distance, h.label);
+    return out;
+  };
+  for (const VectorIndexType type :
+       {VectorIndexType::kHnsw, VectorIndexType::kFlat, VectorIndexType::kIvfFlat}) {
+    for (const QuantOption quant : {QuantOption::kOff, QuantOption::kSq8}) {
+      SCOPED_TRACE("index " + std::to_string(static_cast<int>(type)) + " quant " +
+                   std::to_string(static_cast<int>(quant)));
+      EmbeddingTypeInfo info = Info(4);
+      info.index = type;
+      info.quant = quant;
+      HnswParams params;
+      params.m = 8;
+      params.ef_construction = 64;
+      EmbeddingSegment segment(1, kBase, kCapacity, info, params);
+      std::map<VertexId, std::vector<float>> live;  // the truth at `tid`
+      Tid tid = 0;
+      auto apply = [&](VertexId id, std::vector<float> value) {
+        VectorDelta delta;
+        delta.action =
+            value.empty() ? VectorDelta::Action::kDelete : VectorDelta::Action::kUpsert;
+        delta.id = id;
+        delta.tid = ++tid;
+        delta.value = value;
+        ASSERT_TRUE(segment.ApplyDelta(std::move(delta)).ok());
+        if (value.empty()) {
+          live.erase(id);
+        } else {
+          live[id] = std::move(value);
+        }
+      };
+      ThreadPool pool(2);
+      auto vacuum = [&] {
+        ASSERT_TRUE(segment.DeltaMerge(tid, "").ok());
+        ASSERT_TRUE(segment.IndexMerge(tid, &pool).ok());
+      };
+      for (VertexId id = kBase; id < kBase + 40; ++id) apply(id, vec(id, 0));
+      vacuum();
+      apply(kBase + 6, {});
+      vacuum();  // kBase + 6 is now a tombstone in the index
+      ASSERT_TRUE(segment.index()->Contains(kBase + 6));
+      ASSERT_TRUE(segment.index()->IsDeleted(kBase + 6));
+      EXPECT_EQ(segment.index()->quant_active(), quant == QuantOption::kSq8);
+      apply(kBase + 8, vec(kBase + 8, 30));  // pending upsert over an indexed row
+      apply(kBase + 10, {});                 // pending delete of an indexed row
+      apply(kBase + 46, vec(kBase + 46, 0));  // pending insert, no index row
+
+      // kBase + 56 has no vector; 5 and 200 belong to other segments.
+      const VertexId candidates[] = {5,          kBase + 2,  kBase + 4,  kBase + 6,
+                                     kBase + 8,  kBase + 10, kBase + 12, kBase + 46,
+                                     kBase + 56, 200};
+      Bitmap narrow(256), wide(256);
+      CandidateSet::Builder builder(kCapacity);
+      for (VertexId id : candidates) {
+        narrow.Set(id);
+        wide.Set(id);
+        builder.Insert(id);
+      }
+      for (VertexId id = kBase + kCapacity; id < 256; ++id) wide.Set(id);
+      const CandidateSet set = std::move(builder).Build();
+      ASSERT_GE(wide.Count(), 40u);  // more bits than index rows: the row walk
+
+      // The query sits on kBase + 8's indexed (stale) value, between the
+      // tombstone and the pending delete.
+      const std::vector<float> q = vec(kBase + 8, 0);
+      std::vector<SearchHit> want;
+      for (VertexId id : candidates) {
+        auto it = live.find(id);
+        if (it == live.end() || id < kBase || id >= kBase + kCapacity) continue;
+        const float d = ComputeDistance(Metric::kL2, q.data(), it->second.data(), 4);
+        want.push_back(SearchHit{d, id});
+      }
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(want.size(), 5u);  // kBase + 2, 4, 8, 12, 46
+
+      auto search = [&](const FilterView& filter, size_t k, float radius) {
+        EmbeddingSegment::SearchOptions options;
+        options.k = k;
+        options.read_tid = tid;
+        options.filter = filter;
+        options.bruteforce_threshold = 64;
+        auto out = std::isinf(radius) ? segment.TopKSearch(q.data(), options)
+                                      : segment.RangeSearch(q.data(), radius, options);
+        EXPECT_TRUE(out.used_bruteforce);
+        return pairs(out.hits);
+      };
+      const float kTopK = std::numeric_limits<float>::infinity();
+      for (size_t k : {1, 2, 3, 5, 100}) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        const auto rows = search(FilterView(&wide), k, kTopK);
+        EXPECT_EQ(search(FilterView(&narrow), k, kTopK), rows);
+        EXPECT_EQ(search(FilterView(&set), k, kTopK), rows);
+        // SQ8 keeps 3k survivors for the exact rerank; once they cover every
+        // live candidate the answer is exact.
+        if (quant == QuantOption::kOff || 3 * k >= want.size()) {
+          const std::vector<SearchHit> prefix(
+              want.begin(), want.begin() + std::min(k, want.size()));
+          EXPECT_EQ(rows, pairs(prefix));
+        }
+      }
+      // Range: strictly below the third live candidate's distance.
+      const float radius = want[2].distance;
+      const auto rows = search(FilterView(&wide), 100, radius);
+      EXPECT_EQ(search(FilterView(&narrow), 100, radius), rows);
+      EXPECT_EQ(search(FilterView(&set), 100, radius), rows);
+      std::vector<SearchHit> in_range;
+      for (const SearchHit& h : want) {
+        if (h.distance < radius) in_range.push_back(h);
+      }
+      EXPECT_EQ(rows, pairs(in_range));
+    }
+  }
 }
 
 TEST_F(EmbeddingSegmentFixture, RangeSearchCombinesIndexAndDeltas) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <sstream>
+#include <tuple>
 
 #include "query/lexer.h"
 #include "query/parser.h"
 #include "query/session.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace tigervector {
@@ -640,6 +646,49 @@ TEST_F(QuerySessionFixture, EmptyAttributeSearchReturnsEmpty) {
   EXPECT_TRUE(result->prints[0].vertices.empty());
 }
 
+// One node of rendered plan text: its label line and the indented detail
+// and actual lines under it ("" when no node has the label).
+std::string PlanNodeText(const std::string& plan, const std::string& label) {
+  std::istringstream lines(plan);
+  std::string line, node;
+  bool inside = false;
+  while (std::getline(lines, line)) {
+    if (!line.empty() && line[0] != ' ') inside = line == label;
+    if (inside) node += line + "\n";
+  }
+  return node;
+}
+
+// Each semi-join pass walks the edges of its side with fewer candidates. On
+// the similarity-join shape both passes over s -hasCreator- u start from the
+// one Person u and follow hasCreator backwards instead of walking all twelve
+// posts; the answer is the forward walk's.
+TEST_F(QuerySessionFixture, SemiJoinPassesWalkTheSmallerSide) {
+  auto result = session_->Run(
+      "EXPLAIN ANALYZE SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person)"
+      " -[:knows]- (v:Person) <-[:hasCreator]- (t:Post)"
+      " WHERE u.firstName = \"Alice\""
+      " ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 2;");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string& plan = result->explain;
+  const std::string first = PlanNodeText(plan, "EdgeAction[s -hasCreator- u]");
+  EXPECT_NE(first.find("* forward: walked u (1)\n"), std::string::npos) << plan;
+  EXPECT_NE(first.find("* backward: walked u (1)\n"), std::string::npos) << plan;
+  EXPECT_NE(first.find("- semi-join: forward then backward pass, each walking the "
+                       "edges of the side with fewer candidates\n"),
+            std::string::npos)
+      << plan;
+  // Alice knows two persons, who wrote six posts.
+  const std::string last = PlanNodeText(plan, "EdgeAction[v -hasCreator- t]");
+  EXPECT_NE(last.find("* forward: walked v (2)\n"), std::string::npos) << plan;
+  EXPECT_NE(last.find("* backward: walked v (2)\n"), std::string::npos) << plan;
+  // The closest pair: Alice's post at 2 and Bob's post at 10.
+  ASSERT_EQ(result->last_join_pairs.size(), 2u);
+  EXPECT_EQ(result->last_join_pairs[0].source, posts_[2]);
+  EXPECT_EQ(result->last_join_pairs[0].target, posts_[3]);
+  EXPECT_EQ(result->last_join_pairs[0].distance, 64.0f);
+}
+
 TEST_F(QuerySessionFixture, PlanTextShapeMatchesPaper) {
   auto result = session_->Run(
       "EXPLAIN R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
@@ -736,6 +785,225 @@ TEST_F(QuerySessionFixture, EmptyVertexSetFilterReturnsEmpty) {
       Params({0, 0, 0, 0}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->prints[0].vertices.empty());
+}
+
+// ---------------- Pattern work under a deadline ----------------
+
+// The semi-joins poll the request deadline every kCancelCheckInterval
+// vertices they walk, and the similarity join polls it once per source
+// vertex. A token that fires at any of those polls fails the statement with
+// kDeadlineExceeded instead of returning the candidates or pairs found so
+// far.
+TEST(QueryDeadlineTest, SemiJoinsAndSimilarityJoinPollTheDeadline) {
+  Database::Options options;
+  options.store.segment_capacity = 64;
+  Database db(options);
+  GsqlSession session(&db);
+  session.SetCacheBypass(true);  // every run scans, so the poll counts repeat
+  ASSERT_TRUE(session
+                  .Run("CREATE VERTEX Person (name STRING);"
+                       "CREATE VERTEX Post (lang STRING);"
+                       "CREATE UNDIRECTED EDGE knows (FROM Person, TO Person);"
+                       "CREATE DIRECTED EDGE hasCreator (FROM Post, TO Person);"
+                       "ALTER VERTEX Post ADD EMBEDDING ATTRIBUTE emb (DIMENSION = 2,"
+                       " MODEL = M, INDEX = FLAT, DATATYPE = FLOAT, METRIC = L2);")
+                  .ok());
+  // kN persons in a knows-ring, each the creator of one post.
+  constexpr uint64_t kN = 200;
+  Transaction txn = db.Begin();
+  std::vector<VertexId> persons;
+  for (uint64_t i = 0; i < kN; ++i) {
+    auto vid = txn.InsertVertex("Person", {std::string("p")});
+    ASSERT_TRUE(vid.ok());
+    persons.push_back(*vid);
+  }
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(txn.InsertEdge("knows", persons[i], persons[(i + 1) % kN]).ok());
+    auto post = txn.InsertVertex("Post", {std::string("en")});
+    ASSERT_TRUE(post.ok());
+    ASSERT_TRUE(txn.InsertEdge("hasCreator", *post, persons[i]).ok());
+    ASSERT_TRUE(
+        txn.SetEmbedding(*post, "Post", "emb", {static_cast<float>(i), 0}).ok());
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+
+  auto checks_of = [&](const std::string& script) -> uint64_t {
+    CancelToken passive;  // never fires; counts the polls
+    ScopedCancel scope(&passive);
+    auto result = session.Run(script);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return passive.checks();
+  };
+  const uint64_t polls_per_pass = kN / kCancelCheckInterval;
+  // Two statement gates and the two type scans' polls.
+  const uint64_t scans =
+      checks_of("R = SELECT s FROM (s:Post); S = SELECT u FROM (u:Person);");
+  const std::string pattern = "R = SELECT u FROM (s:Post) -[:hasCreator]-> (u:Person);";
+  // One gate, the same scans, and two passes that each walk kN vertices.
+  EXPECT_EQ(checks_of(pattern), scans - 1 + 2 * polls_per_pass);
+  const std::string join =
+      "SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person) -[:knows]- (v:Person)"
+      " <-[:hasCreator]- (t:Post) ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 3;";
+  // One gate, four scans, six passes, and one poll per source post.
+  const uint64_t join_checks = checks_of(join);
+  EXPECT_EQ(join_checks, 1 + 2 * (scans - 2) + 6 * polls_per_pass + kN);
+
+  for (const std::string& script : {pattern, join}) {
+    const uint64_t total = script == join ? join_checks : checks_of(script);
+    for (uint64_t trip_at = 1; trip_at <= total; ++trip_at) {
+      CancelToken token;
+      token.TripAfterChecks(trip_at);
+      ScopedCancel scope(&token);
+      auto result = session.Run(script);
+      ASSERT_FALSE(result.ok()) << script << " trip_at=" << trip_at << " of " << total;
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+          << result.status().ToString();
+    }
+  }
+}
+
+// ---------------- Semi-join equivalence ----------------
+
+// A pass's answer does not depend on the side it walks. Seeded random graphs
+// with a directed and an undirected edge type; chains of 2-4 aliases over
+// every arrow token; candidate sets from one vertex to the whole type; reads
+// at a read_tid older than a commit that adds vertices and adds and deletes
+// edges, and at the latest commit. Every alias's candidates are checked
+// against a reference that walks every pass forward from the near side with
+// GraphStore::ForEachNeighbor. (GoldenModel::Neighbors reads arrows on
+// undirected types differently, so it cannot be the reference here.)
+TEST(SemiJoinPropertyTest, EitherWalkedSideMatchesTheForwardReference) {
+  struct Hop {
+    std::string type;
+    Direction dir;
+  };
+  size_t walked_near = 0, walked_far = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Database::Options options;
+    options.store.segment_capacity = 16;
+    options.num_threads = 1;
+    Database db(options);
+    ASSERT_TRUE(GsqlSession(&db)
+                    .Run("CREATE VERTEX V (rank INT);"
+                         "CREATE DIRECTED EDGE d (FROM V, TO V);"
+                         "CREATE UNDIRECTED EDGE u (FROM V, TO V);")
+                    .ok());
+    // Ranks are a permutation, so `rank < c` selects exactly c vertices.
+    const int64_t n = 10 + static_cast<int64_t>(rng.NextBounded(50));
+    std::vector<int64_t> ranks(n);
+    std::iota(ranks.begin(), ranks.end(), 0);
+    for (int64_t i = n - 1; i > 0; --i) {
+      std::swap(ranks[i], ranks[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
+    }
+    std::map<VertexId, int64_t> rank_of;
+    std::vector<std::tuple<std::string, VertexId, VertexId>> edges;
+    auto random_edge = [&](Transaction* txn) {
+      auto it = rank_of.begin();
+      std::advance(it, rng.NextBounded(rank_of.size()));
+      const VertexId a = it->first;
+      it = rank_of.begin();
+      std::advance(it, rng.NextBounded(rank_of.size()));
+      const VertexId b = it->first;
+      const std::string type = rng.NextBounded(2) == 0 ? "d" : "u";
+      ASSERT_TRUE(txn->InsertEdge(type, a, b).ok());
+      edges.emplace_back(type, a, b);
+    };
+    Transaction first = db.Begin();
+    for (int64_t i = 0; i < n; ++i) {
+      auto vid = first.InsertVertex("V", {ranks[i]});
+      ASSERT_TRUE(vid.ok());
+      rank_of[*vid] = ranks[i];
+    }
+    for (int64_t e = 0; e < 2 * n; ++e) random_edge(&first);
+    auto old_tid = first.Commit();
+    ASSERT_TRUE(old_tid.ok());
+    // The later commit adds vertices and edges and deletes edges of the
+    // first; a read at old_tid sees none of it.
+    Transaction later = db.Begin();
+    for (int64_t i = 0; i < 3; ++i) {
+      auto vid = later.InsertVertex("V", {n + i});
+      ASSERT_TRUE(vid.ok());
+      rank_of[*vid] = n + i;
+    }
+    for (int64_t e = 0; e < n / 2; ++e) {  // n/2 distinct edges of the first
+      std::swap(edges[e], edges[e + rng.NextBounded(edges.size() - e)]);
+      const auto& [type, a, b] = edges[e];
+      ASSERT_TRUE(later.DeleteEdge(type, a, b).ok());
+    }
+    for (int64_t e = 0; e < n; ++e) random_edge(&later);
+    ASSERT_TRUE(later.Commit().ok());
+
+    QueryExecutor executor(&db);
+    for (int q = 0; q < 12; ++q) {
+      const size_t len = 2 + rng.NextBounded(3);
+      std::vector<int64_t> cut(len);
+      std::vector<Hop> hops;
+      std::string pattern = "(a0:V)", where;
+      for (size_t i = 0; i < len; ++i) {
+        // Skewed from a single vertex to the whole type (new vertices too).
+        const int64_t cuts[] = {1, 2, n / 8 + 1, n / 2, n, n + 3};
+        cut[i] = cuts[rng.NextBounded(6)];
+        where += (i == 0 ? " WHERE " : " AND ") + std::string("a") +
+                 std::to_string(i) + ".rank < " + std::to_string(cut[i]);
+        if (i == 0) continue;
+        Hop hop{rng.NextBounded(2) == 0 ? "d" : "u",
+                static_cast<Direction>(rng.NextBounded(3))};
+        const char* arrows[][2] = {{" -[:", "]-> "}, {" <-[:", "]- "}, {" -[:", "]- "}};
+        const auto& arrow = arrows[static_cast<int>(hop.dir)];
+        pattern += arrow[0] + hop.type + arrow[1] + "(a" + std::to_string(i) + ":V)";
+        hops.push_back(hop);
+      }
+      for (const Tid read_tid : {*old_tid, kMaxTid}) {
+        // The reference: every pass walks forward from its near side.
+        const Tid tid = std::min(read_tid, db.store()->visible_tid());
+        std::vector<std::set<VertexId>> want(len);
+        for (size_t i = 0; i < len; ++i) {
+          for (const auto& [vid, rank] : rank_of) {
+            if (rank < cut[i] && db.store()->IsVisible(vid, tid)) want[i].insert(vid);
+          }
+        }
+        auto pass = [&](size_t e, bool forward) {
+          const EdgeTypeId type = (*db.schema()->GetEdgeType(hops[e].type))->id;
+          std::set<VertexId> kept;
+          for (VertexId vid : want[e]) {
+            db.store()->ForEachNeighbor(vid, type, hops[e].dir, tid, [&](VertexId peer) {
+              if (want[e + 1].count(peer) > 0) kept.insert(forward ? peer : vid);
+            });
+          }
+          want[forward ? e + 1 : e] = std::move(kept);
+        };
+        for (size_t e = 0; e + 1 < len; ++e) pass(e, /*forward=*/true);
+        for (size_t e = len - 1; e-- > 0;) pass(e, /*forward=*/false);
+
+        for (size_t out = 0; out < len; ++out) {
+          const std::string script =
+              "SELECT a" + std::to_string(out) + " FROM " + pattern + where + ";";
+          SCOPED_TRACE(script + " at tid " + std::to_string(tid));
+          auto stmts = ParseScript(script);
+          ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+          auto plan = executor.PlanSelect(std::get<SelectStmt>((*stmts)[0]), {});
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          auto result = executor.Execute(&*plan, {}, /*analyze=*/true, read_tid);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(std::set<VertexId>(result->vertices.begin(), result->vertices.end()),
+                    want[out]);
+          for (const QueryPlan::Op& op : plan->ops) {
+            if (op.kind != QueryPlan::Op::Kind::kSemiJoin) continue;
+            const std::string near = "walked a" + std::to_string(op.alias) + " (";
+            for (const auto& [key, value] : op.node.actuals) {
+              if (key == "rows_out") continue;
+              (value.rfind(near, 0) == 0 ? walked_near : walked_far) += 1;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sizes were skewed both ways, so both walks ran.
+  EXPECT_GT(walked_near, 100u);
+  EXPECT_GT(walked_far, 100u);
 }
 
 }  // namespace
